@@ -1,11 +1,13 @@
 """Command-line entry point for reproducible analysis runs.
 
-Commands: validate, synth, metrics, cluster, weat, geo, probe, report. Each
-command reads the same JSON config, loads and filters the corpora itself, and
-writes its artifacts plus a provenance block (config hash, seed, tool
-version) under its own subdirectory, so any subset of commands can run
-independently; `report` runs everything and bundles the results into one
-deterministic JSON file.
+Commands: validate, synth, metrics, cluster, weat, geo, probe, report. Every
+command reads the same JSON config and writes its artifacts plus a provenance
+block (config hash, seed, tool version) under its own subdirectory, so any
+subset of commands can run independently. The commands of one run share a
+`RunContext`: it loads and filters the corpora once and keeps each article's
+units, party tags, feature rows and place sets, each made on first use, so a
+command run alone builds only what it reads. `report` runs everything on one
+context and bundles the results into one deterministic JSON file.
 
 Exit codes: 0 ok, 1 config error, 2 data error, 3 internal error.
 """
@@ -18,6 +20,7 @@ import json
 import logging
 import os
 import sys
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -25,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig
-from .corpus import Article, article_sentences, headline_sentence, load_corpus, write_skip_report
+from .corpus import Article, SkipRecord, article_sentences, headline_sentence, load_corpus, write_skip_report
 from .embeddings import (
     AssociationSets,
     SgnsParams,
@@ -56,7 +59,7 @@ from .metrics import (
 from .nlp import ValenceLexicon, default_subjectivity_lexicon, load_subjectivity_lexicon
 from .probe import ngram_backend, popularity_pair, token_delta_ranking
 from .synthetic import SynthSpec, default_config, generate_corpus, write_outlet_files
-from .tagging import default_party_lexicons, load_party_lexicons
+from .tagging import TextTable, default_party_lexicons, load_party_lexicons
 from .timeseries import cluster, distance_matrix, drop_missing, write_distance_csv, z_normalize
 from ._data import data_path
 
@@ -94,23 +97,58 @@ def _load_gazetteer(cfg: RunConfig) -> Gazetteer:
     return Gazetteer.load(cities, states)
 
 
-def _load_articles(cfg: RunConfig, command_dir: Path | None = None) -> list[Article]:
-    """Load all corpora, filter to the configured date range, log skips."""
-    articles: list[Article] = []
-    for outlet in sorted(cfg.corpora):
-        loaded, skips = load_corpus(cfg.corpora[outlet])
-        if skips:
-            logger.warning("%s: skipped %d malformed records", cfg.corpora[outlet], len(skips))
-            if command_dir is not None:
-                skip_dir = command_dir / "skips"
-                skip_dir.mkdir(parents=True, exist_ok=True)
-                write_skip_report(skips, skip_dir / f"{outlet}.jsonl")
-        articles.extend(
-            a for a in loaded if cfg.date_start <= a.published <= cfg.date_end
-        )
-    if not articles:
-        raise DataError("no articles in the configured date range")
-    return articles
+class RunContext:
+    """What one run loads and derives from its config, each made on first use.
+
+    The corpora are read once. The text table and the suite's and gazetteer's
+    memos then keep each article's units, party tags, feature rows and place
+    sets for the rest of the run.
+    """
+
+    def __init__(self, cfg: RunConfig):
+        self.cfg = cfg
+
+    @cached_property
+    def lexicons(self):
+        return _load_lexicons(self.cfg)
+
+    @cached_property
+    def suite(self) -> AnalyzerSuite:
+        return _load_suite(self.cfg, self.lexicons)
+
+    @cached_property
+    def gazetteer(self) -> Gazetteer:
+        return _load_gazetteer(self.cfg)
+
+    @cached_property
+    def table(self) -> TextTable:
+        return TextTable(self.lexicons)
+
+    @cached_property
+    def _corpora(self) -> tuple[list[Article], dict[str, list[SkipRecord]]]:
+        cfg = self.cfg
+        articles: list[Article] = []
+        skips: dict[str, list[SkipRecord]] = {}
+        for outlet in sorted(cfg.corpora):
+            loaded, skipped = load_corpus(cfg.corpora[outlet])
+            if skipped:
+                logger.warning("%s: skipped %d malformed records", cfg.corpora[outlet], len(skipped))
+                skips[outlet] = skipped
+            articles.extend(
+                a for a in loaded if cfg.date_start <= a.published <= cfg.date_end
+            )
+        return articles, skips
+
+    def articles(self, command_dir: Path) -> list[Article]:
+        """The articles in the date range; the skip reports go under command_dir."""
+        articles, skips = self._corpora
+        for outlet, skipped in skips.items():
+            skip_dir = command_dir / "skips"
+            skip_dir.mkdir(parents=True, exist_ok=True)
+            write_skip_report(skipped, skip_dir / f"{outlet}.jsonl")
+        if not articles:
+            raise DataError("no articles in the configured date range")
+        return articles
 
 
 def _provenance(cfg: RunConfig, command: str) -> dict:
@@ -150,12 +188,12 @@ def cmd_validate(cfg: RunConfig) -> dict:
     }
 
 
-def cmd_metrics(cfg: RunConfig, out_base: Path) -> dict:
+def cmd_metrics(ctx: RunContext, out_base: Path) -> dict:
+    cfg = ctx.cfg
     directory = _command_dir(out_base, "metrics")
-    lexicons = _load_lexicons(cfg)
-    suite = _load_suite(cfg, lexicons)
-    articles = _load_articles(cfg, directory)
-    tables = compute_all_series(articles, lexicons, cfg.metrics, suite)
+    lexicons, suite = ctx.lexicons, ctx.suite
+    articles = ctx.articles(directory)
+    tables = compute_all_series(articles, lexicons, cfg.metrics, suite, ctx.table)
 
     by_outlet_articles: dict[str, list[Article]] = {}
     for article in articles:
@@ -166,7 +204,7 @@ def cmd_metrics(cfg: RunConfig, out_base: Path) -> dict:
         metric = MetricId(metric_name)
         for outlet, series in sorted(by_outlet.items()):
             write_series_csv(series, directory / f"{outlet}__{metric_name}.csv")
-            pooled = aggregate_pooled(by_outlet_articles[outlet], lexicons, metric, suite)
+            pooled = aggregate_pooled(by_outlet_articles[outlet], lexicons, metric, suite, ctx.table)
             payload.setdefault(outlet, {})[metric_name] = {
                 "series": [
                     [str(p.month), p.score_b, p.score_c, p.value] for p in series.points
@@ -186,12 +224,12 @@ def cmd_metrics(cfg: RunConfig, out_base: Path) -> dict:
     return payload
 
 
-def cmd_cluster(cfg: RunConfig, out_base: Path) -> dict:
+def cmd_cluster(ctx: RunContext, out_base: Path) -> dict:
+    cfg = ctx.cfg
     directory = _command_dir(out_base, "cluster")
-    lexicons = _load_lexicons(cfg)
-    suite = _load_suite(cfg, lexicons)
-    articles = _load_articles(cfg, directory)
-    tables = compute_all_series(articles, lexicons, cfg.metrics, suite)
+    lexicons, suite = ctx.lexicons, ctx.suite
+    articles = ctx.articles(directory)
+    tables = compute_all_series(articles, lexicons, cfg.metrics, suite, ctx.table)
 
     series: dict[str, list] = {}
     skipped: list[str] = []
@@ -269,10 +307,17 @@ def _embedding_seed(base_seed: int, outlet_index: int, year: int) -> int:
     return int(np.random.SeedSequence([base_seed, outlet_index, year]).generate_state(1)[0])
 
 
-def cmd_weat(cfg: RunConfig, out_base: Path) -> dict:
+def cmd_weat(ctx: RunContext, out_base: Path) -> dict:
+    """Yearly embeddings and WEAT scores.
+
+    Reads each article in its own pass rather than from the text table, so
+    that `report`, which runs this first, does not hold the table while SGNS
+    trains.
+    """
+    cfg = ctx.cfg
     directory = _command_dir(out_base, "weat")
-    lexicons = _load_lexicons(cfg)
-    articles = _load_articles(cfg, directory)
+    lexicons = ctx.lexicons
+    articles = ctx.articles(directory)
     s1, s2 = _party_token_sets(lexicons)
     sets = AssociationSets(s1=s1, s2=s2, a1=cfg.weat_positive, a2=cfg.weat_negative)
 
@@ -334,10 +379,11 @@ def cmd_weat(cfg: RunConfig, out_base: Path) -> dict:
     return payload
 
 
-def cmd_geo(cfg: RunConfig, out_base: Path) -> dict:
+def cmd_geo(ctx: RunContext, out_base: Path) -> dict:
+    cfg = ctx.cfg
     directory = _command_dir(out_base, "geo")
-    gazetteer = _load_gazetteer(cfg)
-    articles = _load_articles(cfg, directory)
+    gazetteer = ctx.gazetteer
+    articles = ctx.articles(directory)
 
     buckets: dict[tuple[str, int], list[Article]] = {}
     outlets = set()
@@ -374,9 +420,10 @@ def cmd_geo(cfg: RunConfig, out_base: Path) -> dict:
     return payload
 
 
-def cmd_probe(cfg: RunConfig, out_base: Path) -> dict:
+def cmd_probe(ctx: RunContext, out_base: Path) -> dict:
+    cfg = ctx.cfg
     directory = _command_dir(out_base, "probe")
-    articles = _load_articles(cfg, directory)
+    articles = ctx.articles(directory)
     party_b, party_c = cfg.probe.party_tokens
 
     buckets: dict[tuple[str, int], list[Article]] = {}
@@ -396,6 +443,7 @@ def cmd_probe(cfg: RunConfig, out_base: Path) -> dict:
                 order=cfg.probe.order,
                 smoothing=cfg.probe.smoothing,
                 backend_id=f"ngram-{outlet}-{year}",
+                table=ctx.table,
             )
             backends[year] = backend
             try:
@@ -427,16 +475,20 @@ def cmd_probe(cfg: RunConfig, out_base: Path) -> dict:
     return payload
 
 
-def cmd_report(cfg: RunConfig, out_base: Path) -> dict:
+def cmd_report(ctx: RunContext, out_base: Path) -> dict:
     directory = _command_dir(out_base, "report")
+    provenance = _provenance(ctx.cfg, "report")
+    # weat first: SGNS training is the run's memory peak, and the text table
+    # that the other commands share does not exist yet while it trains.
+    weat = cmd_weat(ctx, out_base)
     bundle = {
-        "provenance": _provenance(cfg, "report"),
+        "provenance": provenance,
         "commands": {
-            "metrics": cmd_metrics(cfg, out_base),
-            "cluster": cmd_cluster(cfg, out_base),
-            "weat": cmd_weat(cfg, out_base),
-            "geo": cmd_geo(cfg, out_base),
-            "probe": cmd_probe(cfg, out_base),
+            "metrics": cmd_metrics(ctx, out_base),
+            "cluster": cmd_cluster(ctx, out_base),
+            "weat": weat,
+            "geo": cmd_geo(ctx, out_base),
+            "probe": cmd_probe(ctx, out_base),
         },
     }
     _write_json(bundle, directory / "bundle.json")
@@ -532,7 +584,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             "probe": cmd_probe,
             "report": cmd_report,
         }[args.command]
-        runner(cfg, out_base)
+        runner(RunContext(cfg), out_base)
         print(f"{args.command}: artifacts written under {out_base}")
         return 0
     except (ConfigError, ContractViolation) as exc:

@@ -24,6 +24,45 @@ _LINKAGES = ("average", "single", "complete")
 _ALIGNMENTS = ("procrustes", "identity")
 
 
+def _section(raw: dict, key: str) -> dict:
+    """A nested config object; absent or null means all defaults."""
+    value = raw.get(key)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"config key {key}: expected an object")
+    return value
+
+
+# The typed readers below take the dotted config key, for the error message;
+# its last part names the field inside `section`.
+
+
+def _integer(section: dict, key: str, default: int, minimum: int | None = None) -> int:
+    value = section.get(key.rpartition(".")[2], default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"config key {key}: expected an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"config key {key}: must be >= {minimum}, got {value}")
+    return value
+
+
+def _real(section: dict, key: str, default: float, positive: bool = False) -> float:
+    value = section.get(key.rpartition(".")[2], default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"config key {key}: expected a number, got {value!r}")
+    if positive and not value > 0:
+        raise ConfigError(f"config key {key}: must be > 0, got {value}")
+    return float(value)
+
+
+def _words(section: dict, key: str, default: tuple[str, ...]) -> tuple[str, ...]:
+    value = section.get(key.rpartition(".")[2], default)
+    if not isinstance(value, (list, tuple)) or not all(isinstance(w, str) for w in value):
+        raise ConfigError(f"config key {key}: expected a list of words")
+    return tuple(value)
+
+
 @dataclass(frozen=True)
 class EmbeddingConfig:
     dim: int = 100
@@ -104,7 +143,7 @@ class RunConfig:
             outlet: resolve(p, f"corpora.{outlet}") for outlet, p in sorted(corpora_raw.items())
         }
 
-        dates = raw.get("date_range") or {}
+        dates = _section(raw, "date_range")
         try:
             date_start = dt.date.fromisoformat(dates.get("start", "0001-01-01"))
             date_end = dt.date.fromisoformat(dates.get("end", "9999-12-31"))
@@ -116,50 +155,52 @@ class RunConfig:
         metric_names = raw.get("metrics")
         if metric_names is None:
             metrics = list(MetricId)
+        elif not isinstance(metric_names, list):
+            raise ConfigError("config key metrics: expected a list of metric names")
         else:
             try:
                 metrics = [MetricId(name) for name in metric_names]
             except ValueError as exc:
                 raise ConfigError(f"config key metrics: {exc}") from exc
 
-        clustering = raw.get("clustering") or {}
+        clustering = _section(raw, "clustering")
         linkage = clustering.get("linkage", "average")
         if linkage not in _LINKAGES:
             raise ConfigError(f"config key clustering.linkage: expected one of {_LINKAGES}")
 
-        embedding_raw = raw.get("embedding") or {}
+        embedding_raw = _section(raw, "embedding")
         embedding = EmbeddingConfig(
-            dim=int(embedding_raw.get("dim", 100)),
-            window=int(embedding_raw.get("window", 5)),
-            negatives=int(embedding_raw.get("negatives", 5)),
-            epochs=int(embedding_raw.get("epochs", 5)),
-            min_count=int(embedding_raw.get("min_count", 5)),
-            subsample=float(embedding_raw.get("subsample", 1e-3)),
-            anchor_count=int(embedding_raw.get("anchor_count", 1000)),
+            dim=_integer(embedding_raw, "embedding.dim", 100, minimum=1),
+            window=_integer(embedding_raw, "embedding.window", 5, minimum=1),
+            negatives=_integer(embedding_raw, "embedding.negatives", 5, minimum=0),
+            epochs=_integer(embedding_raw, "embedding.epochs", 5, minimum=1),
+            min_count=_integer(embedding_raw, "embedding.min_count", 5),
+            subsample=_real(embedding_raw, "embedding.subsample", 1e-3),
+            anchor_count=_integer(embedding_raw, "embedding.anchor_count", 1000),
             alignment=embedding_raw.get("alignment", "procrustes"),
         )
         if embedding.alignment not in _ALIGNMENTS:
             raise ConfigError(f"config key embedding.alignment: expected one of {_ALIGNMENTS}")
 
-        weat_raw = raw.get("weat") or {}
-        weat_positive = tuple(weat_raw.get("attributes_positive", ("good", "honest", "efficient", "superior")))
-        weat_negative = tuple(weat_raw.get("attributes_negative", ("bad", "dishonest", "inefficient", "inferior")))
+        weat_raw = _section(raw, "weat")
+        weat_positive = _words(weat_raw, "weat.attributes_positive", ("good", "honest", "efficient", "superior"))
+        weat_negative = _words(weat_raw, "weat.attributes_negative", ("bad", "dishonest", "inefficient", "inferior"))
 
-        probe_raw = raw.get("probe") or {}
+        probe_raw = _section(raw, "probe")
         party_tokens = probe_raw.get("party_tokens", ["BJP", "Congress"])
         if not isinstance(party_tokens, (list, tuple)) or len(party_tokens) != 2:
             raise ConfigError("config key probe.party_tokens: expected exactly 2 tokens")
         probe = ProbeConfig(
-            order=int(probe_raw.get("order", 3)),
-            smoothing=float(probe_raw.get("smoothing", 0.01)),
-            top_k=int(probe_raw.get("top_k", 50)),
-            max_rank=int(probe_raw.get("max_rank", 15)),
+            order=_integer(probe_raw, "probe.order", 3, minimum=2),
+            smoothing=_real(probe_raw, "probe.smoothing", 0.01, positive=True),
+            top_k=_integer(probe_raw, "probe.top_k", 50),
+            max_rank=_integer(probe_raw, "probe.max_rank", 15),
             party_tokens=(str(party_tokens[0]), str(party_tokens[1])),
             prompt=str(probe_raw.get("prompt", ProbeConfig.prompt)),
         )
 
-        analyzers = raw.get("analyzers") or {}
-        gazetteer = raw.get("gazetteer") or {}
+        analyzers = _section(raw, "analyzers")
+        gazetteer = _section(raw, "gazetteer")
         seed = raw.get("seed", 0)
         if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
             raise ConfigError("config key seed: expected a non-negative integer")

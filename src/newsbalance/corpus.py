@@ -11,6 +11,7 @@ from __future__ import annotations
 import datetime as dt
 import json
 import re
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -102,9 +103,14 @@ class Article:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sentence:
-    """A sentence (or headline treated as one) with its word tokens."""
+    """A sentence (or headline treated as one) with its word tokens.
+
+    Units made by `article_sentences` and `headline_sentence` hold interned
+    tokens, so a run that keeps every article's units stores each distinct
+    word once.
+    """
 
     article_id: str
     index: int
@@ -267,10 +273,14 @@ def write_skip_report(skips: Iterable[SkipRecord], path: str | Path) -> None:
             handle.write(json.dumps({"line": skip.line, "reason": skip.reason}) + "\n")
 
 
+def _interned_tokens(text: str) -> tuple[str, ...]:
+    return tuple(map(sys.intern, tokenize(text)))
+
+
 def article_sentences(article: Article) -> list[Sentence]:
     """Split an article's content into indexed, tokenized sentences."""
     return [
-        Sentence(article_id=article.id, index=i, text=span, tokens=tuple(tokenize(span)))
+        Sentence(article_id=article.id, index=i, text=span, tokens=_interned_tokens(span))
         for i, span in enumerate(split_sentences(article.content))
     ]
 
@@ -281,5 +291,5 @@ def headline_sentence(article: Article) -> Sentence:
         article_id=article.id,
         index=0,
         text=article.headline,
-        tokens=tuple(tokenize(article.headline)),
+        tokens=_interned_tokens(article.headline),
     )

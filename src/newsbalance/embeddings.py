@@ -246,18 +246,16 @@ def train_sgns(
             valid = np.ones(targets.shape, dtype=np.float32)
             valid[:, 1:] = (negatives != o[:, None]).astype(np.float32)
 
+            # Every operand is float32, so the gradients already are.
             h = w_in[c]
-            scores = np.einsum("nd,nkd->nk", h, w_out[targets])
+            out = w_out[targets]
+            scores = np.einsum("nd,nkd->nk", h, out)
             sig = 1.0 / (1.0 + np.exp(-np.clip(scores, -10.0, 10.0)))
             grad = (labels - sig) * valid * np.float32(lr)
-            grad_h = np.einsum("nk,nkd->nd", grad, w_out[targets])
+            grad_h = np.einsum("nk,nkd->nd", grad, out)
             grad_out = grad[:, :, None] * h[:, None, :]
-            np.add.at(w_in, c, grad_h.astype(np.float32))
-            np.add.at(
-                w_out,
-                targets.reshape(-1),
-                grad_out.reshape(-1, params.dim).astype(np.float32),
-            )
+            np.add.at(w_in, c, grad_h)
+            np.add.at(w_out, targets.reshape(-1), grad_out.reshape(-1, params.dim))
             done += c.shape[0]
 
     return EmbeddingSpace(year=year, dim=params.dim, vocab=vocab, vectors=w_in)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -71,10 +71,18 @@ def load_place_list(path: str | Path) -> dict[str, tuple[str, ...]]:
 
 @dataclass(frozen=True)
 class Gazetteer:
-    """City and state name lists with alias folding."""
+    """City and state name lists with alias folding.
+
+    The gazetteer keeps the place set it finds in each article per level, so
+    counting one article at several groupings scans its text once per level.
+    """
 
     cities: dict
     states: dict
+    _matchers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _found: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # One shared frozenset per distinct place set: few articles differ.
+    _place_sets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def load(cls, cities_path: str | Path, states_path: str | Path) -> "Gazetteer":
@@ -99,16 +107,26 @@ class Gazetteer:
                 phrases.append((canonical, alias))
         return PhraseMatcher(phrases, acronyms_case_sensitive=False)
 
+    def mentions(self, article: Article, level: str) -> frozenset:
+        """Places at this level that the article's headline or content names."""
+        found = self._found.get((article, level))
+        if found is None:
+            matcher = self._matchers.get(level)
+            if matcher is None:
+                matcher = self._matchers[level] = self.matcher(level)
+            tokens = tokenize(article.headline) + tokenize(article.content)
+            found = frozenset(matcher.match_tokens(tokens))
+            found = self._found[(article, level)] = self._place_sets.setdefault(found, found)
+        return found
+
 
 def count_mentions(
     articles: Iterable[Article], gazetteer: Gazetteer, level: str = CITY
 ) -> dict[str, int]:
     """Article counts per place (once per article), zero-count places included."""
-    matcher = gazetteer.matcher(level)
     counts = {place: 0 for place in gazetteer.places(level)}
     for article in articles:
-        tokens = tokenize(article.headline) + tokenize(article.content)
-        for place in matcher.match_tokens(tokens):
+        for place in gazetteer.mentions(article, level):
             counts[place] += 1
     return counts
 

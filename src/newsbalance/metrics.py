@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import Article, MonthKey, month_key
+from .corpus import Article, MonthKey, Sentence, month_key
 from .errors import ConfigError, ContractViolation
 from .nlp import (
     DEGREE_NONE,
@@ -33,6 +33,7 @@ from .tagging import (
     MonthlyDocument,
     PartyLexicon,
     PhraseMatcher,
+    TextTable,
     build_matcher,
     build_monthly_documents,
     get_document,
@@ -42,6 +43,7 @@ __all__ = [
     "MetricId",
     "ImbalancePoint",
     "ImbalanceSeries",
+    "FeatureRow",
     "AnalyzerSuite",
     "imbalance",
     "score_document",
@@ -95,18 +97,52 @@ class ImbalanceSeries:
         return [p.value for p in self.points]
 
 
+@dataclass(frozen=True, slots=True)
+class FeatureRow:
+    """What the content metrics read from one unit."""
+
+    positive: float
+    negative: float
+    subjectivity: float
+    degree_hits: int
+    speakers: frozenset  # parties whose speech the unit reports
+
+
 @dataclass
 class AnalyzerSuite:
-    """Lexicons and matcher shared by the content analyzers."""
+    """Lexicons and matcher shared by the content analyzers.
+
+    The suite keeps each unit's feature row once computed, so a unit that
+    several documents or commands score is analyzed once. Rows are keyed by
+    the unit (article id, index, text and tokens), not by its text alone.
+    """
 
     valence: ValenceLexicon
     subjectivity: dict
     lexicons: Sequence[PartyLexicon]
     matcher: PhraseMatcher = None  # type: ignore[assignment]
+    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # One shared frozenset per distinct speaker set; most units report nobody.
+    _speaker_sets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.matcher is None:
             self.matcher = build_matcher(self.lexicons)
+
+    def features(self, unit: Sentence) -> FeatureRow:
+        """The unit's feature row: both sentiment components come from one pass."""
+        row = self._rows.get(unit)
+        if row is None:
+            sentiment = sentence_sentiment(unit.tokens, self.valence)
+            speakers = frozenset(detect_reported_speech(unit, self.lexicons, self.matcher))
+            row = self._rows[unit] = FeatureRow(
+                positive=sentiment.positive,
+                negative=sentiment.negative,
+                subjectivity=sentence_subjectivity(unit.tokens, self.subjectivity),
+                degree_hits=sum(1 for flag in tag_degree(unit.tokens) if flag != DEGREE_NONE),
+                speakers=self._speaker_sets.setdefault(speakers, speakers),
+            )
+        return row
 
     @classmethod
     def default(cls, lexicons: Sequence[PartyLexicon]) -> "AnalyzerSuite":
@@ -146,7 +182,7 @@ def score_document(doc: MonthlyDocument, metric: MetricId, suite: AnalyzerSuite)
     if metric is MetricId.POV:
         total = 0
         for unit in doc.units:
-            if doc.party_id in detect_reported_speech(unit, suite.lexicons, suite.matcher):
+            if doc.party_id in suite.features(unit).speakers:
                 total += unit.word_count
         return float(total)
     return _weighted_mean_score(doc, metric, suite)
@@ -159,15 +195,15 @@ def _weighted_mean_score(doc: MonthlyDocument, metric: MetricId, suite: Analyzer
         weight = unit.word_count
         if weight == 0:
             continue
+        row = suite.features(unit)
         if metric is MetricId.POS_SENT:
-            value = sentence_sentiment(unit.tokens, suite.valence).positive
+            value = row.positive
         elif metric is MetricId.NEG_SENT:
-            value = sentence_sentiment(unit.tokens, suite.valence).negative
+            value = row.negative
         elif metric is MetricId.SUBJ:
-            value = sentence_subjectivity(unit.tokens, suite.subjectivity)
+            value = row.subjectivity
         elif metric is MetricId.SUPCOMP:
-            degree_hits = sum(1 for flag in tag_degree(unit.tokens) if flag != DEGREE_NONE)
-            value = 100.0 * degree_hits / weight
+            value = 100.0 * row.degree_hits / weight
         else:  # pragma: no cover - closed enumeration
             raise ContractViolation(f"unhandled metric {metric}")
         weighted_sum += weight * value
@@ -232,17 +268,21 @@ def compute_all_series(
     lexicons: Sequence[PartyLexicon],
     metrics: Sequence[MetricId] | None = None,
     suite: AnalyzerSuite | None = None,
+    table: TextTable | None = None,
 ) -> dict[str, dict[str, ImbalanceSeries]]:
     """Series for several metrics at once, splitting sentences only once.
 
     Returns {metric value: {outlet: series}}. The result is independent of
-    article input order.
+    article input order. `table`, built from the same lexicons, supplies the
+    tagged units; without one, a table is made for this call.
     """
     metrics = list(MetricId) if metrics is None else list(metrics)
     if not articles:
         raise ConfigError("corpus is empty")
     if suite is None:
         suite = AnalyzerSuite.default(lexicons)
+    if table is None:
+        table = TextTable(lexicons)
     parties = _check_party_pair(lexicons)
     span = month_span(articles)
     by_outlet: dict[str, list[Article]] = {}
@@ -254,7 +294,7 @@ def compute_all_series(
     for outlet in sorted(by_outlet):
         outlet_articles = by_outlet[outlet]
         docs_by_mode = {
-            mode: build_monthly_documents(outlet_articles, lexicons, mode)
+            mode: build_monthly_documents(outlet_articles, lexicons, mode, table)
             for mode in sorted(modes_needed)
         }
         for metric in metrics:
@@ -269,12 +309,13 @@ def aggregate_pooled(
     lexicons: Sequence[PartyLexicon],
     metric: MetricId,
     suite: AnalyzerSuite | None = None,
+    table: TextTable | None = None,
 ) -> float | None:
     """Directed score after pooling all months into one document per party."""
     if suite is None:
         suite = AnalyzerSuite.default(lexicons)
     parties = _check_party_pair(lexicons)
-    docs = build_monthly_documents(articles, lexicons, metric.mode)
+    docs = build_monthly_documents(articles, lexicons, metric.mode, table)
     months = sorted({m for m, _ in docs}) or [MonthKey(1970, 1)]
     pooled: dict[str, MonthlyDocument] = {}
     for party_id in parties:

@@ -17,8 +17,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Protocol, Sequence, runtime_checkable
 
-from .corpus import Article, article_sentences, headline_sentence, tokenize
+from .corpus import Article, tokenize
 from .errors import ContractViolation, DataError, UndefinedProbabilityError
+from .tagging import TextTable
 
 __all__ = [
     "MASK",
@@ -220,14 +221,21 @@ def ngram_backend(
     order: int = 3,
     smoothing: float = 0.01,
     backend_id: str = "ngram",
+    table: TextTable | None = None,
 ) -> NgramMaskBackend:
-    """Build the bundled backend from a corpus slice (headlines plus content)."""
+    """Build the bundled backend from a corpus slice (headlines plus content).
+
+    `table` supplies each article's units; without one, they are made here.
+    """
+    if table is None:
+        table = TextTable()
+
     def sentences() -> Iterable[list[str]]:
         for article in articles:
-            head = headline_sentence(article)
+            head, content = table.units(article)
             if head.tokens:
                 yield list(head.tokens)
-            for sentence in article_sentences(article):
+            for sentence in content:
                 yield list(sentence.tokens)
 
     return NgramMaskBackend.from_sentences(

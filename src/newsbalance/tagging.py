@@ -6,6 +6,9 @@ entries (acronyms such as "BJP" or "INC") match case-sensitively so that
 common words ("inc.") cannot collide, while multi-word proper names match
 case-insensitively. Hyphenated compounds are split before matching, so
 "Congress-led" still mentions "Congress".
+
+A `TextTable` keeps each article's units and their party tags for a whole
+run, so the commands that read them split and match each article once.
 """
 
 from __future__ import annotations
@@ -14,10 +17,10 @@ import json
 from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .corpus import Article, MonthKey, Sentence, article_sentences, headline_sentence, month_key, tokenize
-from .errors import ConfigError
+from .errors import ConfigError, ContractViolation
 from ._data import data_path
 
 __all__ = [
@@ -26,6 +29,7 @@ __all__ = [
     "PartyLexicon",
     "PhraseMatcher",
     "MonthlyDocument",
+    "TextTable",
     "load_party_lexicons",
     "default_party_lexicons",
     "build_matcher",
@@ -171,26 +175,69 @@ def match_parties(text: str | Sequence[str], lexicons: Sequence[PartyLexicon]) -
     return build_matcher(lexicons).match_tokens(tokens)
 
 
+class TextTable:
+    """Each article's units and their party tags, made once and then kept.
+
+    An entry is made on first request and kept, keyed by article, for the
+    table's lifetime: a command builds only what it reads, and a run that
+    reads an entry twice builds it once. Entries are per unit, never per
+    sentence text, so two articles that share a sentence still cost two units.
+    """
+
+    def __init__(self, lexicons: Sequence[PartyLexicon] = ()):
+        self.lexicons = tuple(lexicons)
+        self._matcher = build_matcher(self.lexicons)
+        self._units: dict[Article, tuple[Sentence, tuple[Sentence, ...]]] = {}
+        self._tags: dict[tuple[Article, str], tuple[frozenset[str], ...]] = {}
+        # One shared frozenset per distinct tag set; most units have the empty one.
+        self._tag_sets: dict[frozenset[str], frozenset[str]] = {}
+
+    def units(self, article: Article) -> tuple[Sentence, tuple[Sentence, ...]]:
+        """The article's headline unit and its content sentences."""
+        entry = self._units.get(article)
+        if entry is None:
+            entry = self._units[article] = (headline_sentence(article), tuple(article_sentences(article)))
+        return entry
+
+    def tagged(self, article: Article, mode: str) -> Iterator[tuple[Sentence, frozenset[str]]]:
+        """(unit, ids of the parties it mentions) for the article's units in one mode."""
+        headline, content = self.units(article)
+        units = (headline,) if mode == HEADLINE else content
+        tags = self._tags.get((article, mode))
+        if tags is None:
+            found_sets = []
+            for unit in units:
+                found = frozenset(self._matcher.match_tokens(unit.tokens))
+                found_sets.append(self._tag_sets.setdefault(found, found))
+            tags = self._tags[(article, mode)] = tuple(found_sets)
+        return zip(units, tags)
+
+
 def build_monthly_documents(
     articles: Iterable[Article],
     lexicons: Sequence[PartyLexicon],
     mode: str,
+    table: TextTable | None = None,
 ) -> dict[tuple[MonthKey, str], MonthlyDocument]:
     """Bucket matching units into per-(month, party) documents.
 
     In headline mode the whole headline is the unit (one per matching article
     per party); in content mode every matching sentence is a unit. A unit that
-    matches several parties is included in each of their documents.
+    matches several parties is included in each of their documents. `table`
+    supplies the tagged units and must be built from the same lexicons;
+    without one, a table is made for this call.
     """
     if mode not in _MODES:
         raise ConfigError(f"unknown mode {mode!r}; expected one of {_MODES}")
-    matcher = build_matcher(lexicons)
+    if table is None:
+        table = TextTable(lexicons)
+    elif table.lexicons != tuple(lexicons):
+        raise ContractViolation("the text table was built from other party lexicons")
     docs: dict[tuple[MonthKey, str], MonthlyDocument] = {}
     for article in articles:
         month = month_key(article.published)
-        units = [headline_sentence(article)] if mode == HEADLINE else article_sentences(article)
-        for unit in units:
-            for party_id in matcher.match_tokens(unit.tokens):
+        for unit, parties in table.tagged(article, mode):
+            for party_id in parties:
                 key = (month, party_id)
                 doc = docs.get(key)
                 if doc is None:

@@ -2,13 +2,18 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from newsbalance import corpus, nlp
 from newsbalance.cli import main
 from newsbalance.config import RunConfig
+from newsbalance.corpus import article_sentences, load_corpus
 from newsbalance.errors import ConfigError
+from newsbalance.tagging import build_matcher, default_party_lexicons
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SAMPLE_CONFIG = REPO_ROOT / "sample" / "config.json"
@@ -20,6 +25,18 @@ def synth_dir(tmp_path_factory):
     directory = tmp_path_factory.mktemp("synth")
     code = main(
         ["synth", "--out", str(directory), "--seed", "11", "--months", "4",
+         "--articles-per-month", "10"]
+    )
+    assert code == 0
+    return directory
+
+
+@pytest.fixture(scope="module")
+def two_year_dir(tmp_path_factory):
+    """A two-year archive, so that weat has the two years it needs."""
+    directory = tmp_path_factory.mktemp("two-year")
+    code = main(
+        ["synth", "--out", str(directory), "--seed", "5", "--months", "24",
          "--articles-per-month", "10"]
     )
     assert code == 0
@@ -73,6 +90,33 @@ class TestValidate:
         with pytest.raises(ConfigError, match="metrics"):
             RunConfig.from_file(config)
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("embedding", "dim", "abc"),
+            ("embedding", "dim", 0),
+            ("embedding", "dim", True),
+            ("embedding", "window", 0),
+            ("embedding", "epochs", 0),
+            ("embedding", "negatives", -1),
+            ("embedding", "subsample", "often"),
+            ("probe", "order", 1),
+            ("probe", "order", 2.5),
+            ("probe", "smoothing", 0),
+            ("probe", "smoothing", -0.5),
+            ("weat", "attributes_positive", "good"),
+            (None, "date_range", "2014"),
+            (None, "embedding", [32]),
+            (None, "metrics", 3),
+        ],
+    )
+    def test_bad_value_is_a_config_error(self, tmp_path, synth_dir, capsys, section, key, value):
+        base = json.loads((synth_dir / "config.json").read_text())
+        override = {key: value} if section is None else {section: {**base[section], key: value}}
+        config = self._rewritten_config(synth_dir, tmp_path, **override)
+        assert main(["validate", "--config", str(config)]) == 1
+        assert "config error" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_metrics_emits_all_series_csv(self, synth_dir, tmp_path):
@@ -124,6 +168,73 @@ class TestCommands:
         out = tmp_path / "solo"
         assert main(["geo", "--config", str(synth_dir / "config.json"), "--out", str(out)]) == 0
         assert not (out / "metrics").exists()
+
+
+def _without_series(metrics_entry: dict) -> dict:
+    return {
+        outlet: {m: {k: v for k, v in entry.items() if k != "series"} for m, entry in by_metric.items()}
+        for outlet, by_metric in metrics_entry.items()
+    }
+
+
+def test_standalone_commands_equal_report(two_year_dir, tmp_path):
+    """Each command run alone writes what report writes for it."""
+    config = str(two_year_dir / "config.json")
+    assert main(["report", "--config", config, "--out", str(tmp_path / "report")]) == 0
+    bundle = json.loads((tmp_path / "report" / "report" / "bundle.json").read_text())["commands"]
+    artifacts = {
+        "metrics": "aggregates.json",
+        "cluster": "cluster.json",
+        "weat": "weat.json",
+        "geo": "geo.json",
+        "probe": "probe.json",
+    }
+    for command, artifact in artifacts.items():
+        out = tmp_path / command
+        assert main([command, "--config", config, "--out", str(out)]) == 0
+        expected = _without_series(bundle["metrics"]) if command == "metrics" else bundle[command]
+        assert json.loads((out / command / artifact).read_text()) == expected, command
+        alone = {p.relative_to(out): p.read_bytes() for p in (out / command).rglob("*") if p.is_file()}
+        in_report = {
+            p.relative_to(tmp_path / "report"): p.read_bytes()
+            for p in (tmp_path / "report" / command).rglob("*")
+            if p.is_file()
+        }
+        del alone[Path(command, "provenance.json")], in_report[Path(command, "provenance.json")]
+        assert alone == in_report, command
+
+
+def _count_calls(monkeypatch, module, name: str, counts: Counter) -> None:
+    """Count calls of module.name through every newsbalance module that holds it."""
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return original(*args, **kwargs)
+
+    for held_name, held in list(sys.modules.items()):
+        if held_name.startswith("newsbalance") and getattr(held, name, None) is original:
+            monkeypatch.setattr(held, name, counted)
+
+
+def test_report_splits_and_scores_each_article_once(two_year_dir, tmp_path, monkeypatch):
+    raw = json.loads((two_year_dir / "config.json").read_text())
+    articles = [a for path in raw["corpora"].values() for a in load_corpus(two_year_dir / path)[0]]
+    matcher = build_matcher(default_party_lexicons())
+    scored_units = sum(
+        1 for article in articles for unit in article_sentences(article) if matcher.match_tokens(unit.tokens)
+    )
+
+    counts: Counter = Counter()
+    _count_calls(monkeypatch, corpus, "load_corpus", counts)
+    _count_calls(monkeypatch, corpus, "split_sentences", counts)
+    _count_calls(monkeypatch, nlp, "sentence_sentiment", counts)
+    assert main(["report", "--config", str(two_year_dir / "config.json"), "--out", str(tmp_path)]) == 0
+
+    assert counts["load_corpus"] == len(raw["corpora"])
+    # weat's own pass plus the shared text table
+    assert counts["split_sentences"] <= 2 * len(articles)
+    assert 0 < counts["sentence_sentiment"] <= scored_units
 
 
 class TestSynth:
