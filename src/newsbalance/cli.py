@@ -100,9 +100,9 @@ def _load_gazetteer(cfg: RunConfig) -> Gazetteer:
 class RunContext:
     """What one run loads and derives from its config, each made on first use.
 
-    The corpora are read once. The text table and the suite's and gazetteer's
-    memos then keep each article's units, party tags, feature rows and place
-    sets for the rest of the run.
+    The corpora are read once. The text table then keeps each article's
+    units, party tags, feature rows and place sets for the rest of the run;
+    it is the run's only memo, so it goes when the run does.
     """
 
     def __init__(self, cfg: RunConfig):
@@ -122,7 +122,7 @@ class RunContext:
 
     @cached_property
     def table(self) -> TextTable:
-        return TextTable(self.lexicons)
+        return TextTable()
 
     @cached_property
     def _corpora(self) -> tuple[list[Article], dict[str, list[SkipRecord]]]:
@@ -395,21 +395,21 @@ def cmd_geo(ctx: RunContext, out_base: Path) -> dict:
     for level in ("city", "state"):
         rows = []
         for (outlet, year) in sorted(buckets):
-            dist = coverage_distribution(count_mentions(buckets[(outlet, year)], gazetteer, level))
+            dist = coverage_distribution(count_mentions(buckets[(outlet, year)], gazetteer, level, ctx.table))
             for place in sorted(dist.counts):
                 rows.append((year, outlet, place, dist.counts[place], dist.shares[place]))
         write_coverage_csv(rows, directory / f"coverage_{level}.csv")
         totals = {}
         for outlet in sorted(outlets):
             outlet_articles = [a for a in articles if a.outlet == outlet]
-            dist = coverage_distribution(count_mentions(outlet_articles, gazetteer, level))
+            dist = coverage_distribution(count_mentions(outlet_articles, gazetteer, level, ctx.table))
             totals[outlet] = {
                 place: {"count": dist.counts[place], "share": dist.shares[place]}
                 for place in sorted(dist.counts)
             }
         payload["totals"][level] = totals
 
-    trends = yearly_geo_trends(articles, gazetteer, level="state")
+    trends = yearly_geo_trends(articles, gazetteer, level="state", table=ctx.table)
     write_trends_csv(trends, directory / "trends_state.csv")
     payload["trends"] = {
         outlet: [[t.year, t.inverse_std, t.bottom20, t.bottom50] for t in rows]

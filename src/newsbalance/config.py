@@ -35,25 +35,40 @@ def _section(raw: dict, key: str) -> dict:
 
 
 # The typed readers below take the dotted config key, for the error message;
-# its last part names the field inside `section`.
+# its last part names the field inside `section`. Numbers written as strings
+# ("100") and whole numbers written as floats (100.0) are converted.
 
 
 def _integer(section: dict, key: str, default: int, minimum: int | None = None) -> int:
     value = section.get(key.rpartition(".")[2], default)
-    if isinstance(value, bool) or not isinstance(value, int):
+    number = None
+    if isinstance(value, int) and not isinstance(value, bool):
+        number = value
+    elif isinstance(value, float) and value.is_integer():
+        number = int(value)
+    elif isinstance(value, str):
+        try:
+            number = int(value)
+        except ValueError:
+            pass
+    if number is None:
         raise ConfigError(f"config key {key}: expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"config key {key}: must be >= {minimum}, got {value}")
-    return value
+    if minimum is not None and number < minimum:
+        raise ConfigError(f"config key {key}: must be >= {minimum}, got {number}")
+    return number
 
 
 def _real(section: dict, key: str, default: float, positive: bool = False) -> float:
     value = section.get(key.rpartition(".")[2], default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise ConfigError(f"config key {key}: expected a number, got {value!r}")
-    if positive and not value > 0:
-        raise ConfigError(f"config key {key}: must be > 0, got {value}")
-    return float(value)
+    try:
+        number = float(value)
+    except ValueError:
+        raise ConfigError(f"config key {key}: expected a number, got {value!r}") from None
+    if positive and not number > 0:
+        raise ConfigError(f"config key {key}: must be > 0, got {number}")
+    return number
 
 
 def _words(section: dict, key: str, default: tuple[str, ...]) -> tuple[str, ...]:

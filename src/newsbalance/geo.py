@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import Article, tokenize
 from .errors import ConfigError, ContractViolation
-from .tagging import PhraseMatcher
+from .tagging import PhraseMatcher, TextTable
 from ._data import data_path
 
 __all__ = [
@@ -71,18 +71,10 @@ def load_place_list(path: str | Path) -> dict[str, tuple[str, ...]]:
 
 @dataclass(frozen=True)
 class Gazetteer:
-    """City and state name lists with alias folding.
-
-    The gazetteer keeps the place set it finds in each article per level, so
-    counting one article at several groupings scans its text once per level.
-    """
+    """City and state name lists with alias folding."""
 
     cities: dict
     states: dict
-    _matchers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _found: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # One shared frozenset per distinct place set: few articles differ.
-    _place_sets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def load(cls, cities_path: str | Path, states_path: str | Path) -> "Gazetteer":
@@ -107,26 +99,23 @@ class Gazetteer:
                 phrases.append((canonical, alias))
         return PhraseMatcher(phrases, acronyms_case_sensitive=False)
 
-    def mentions(self, article: Article, level: str) -> frozenset:
-        """Places at this level that the article's headline or content names."""
-        found = self._found.get((article, level))
-        if found is None:
-            matcher = self._matchers.get(level)
-            if matcher is None:
-                matcher = self._matchers[level] = self.matcher(level)
-            tokens = tokenize(article.headline) + tokenize(article.content)
-            found = frozenset(matcher.match_tokens(tokens))
-            found = self._found[(article, level)] = self._place_sets.setdefault(found, found)
-        return found
-
 
 def count_mentions(
-    articles: Iterable[Article], gazetteer: Gazetteer, level: str = CITY
+    articles: Iterable[Article],
+    gazetteer: Gazetteer,
+    level: str = CITY,
+    table: TextTable | None = None,
 ) -> dict[str, int]:
-    """Article counts per place (once per article), zero-count places included."""
+    """Article counts per place (once per article), zero-count places included.
+
+    `table` keeps each article's place sets; without one, a table is made
+    for this call.
+    """
     counts = {place: 0 for place in gazetteer.places(level)}
+    if table is None:
+        table = TextTable()
     for article in articles:
-        for place in gazetteer.mentions(article, level):
+        for place in table.places(article, level, gazetteer):
             counts[place] += 1
     return counts
 
@@ -194,15 +183,21 @@ class YearHomogeneity:
 
 
 def yearly_geo_trends(
-    articles: Sequence[Article], gazetteer: Gazetteer, level: str = STATE
+    articles: Sequence[Article],
+    gazetteer: Gazetteer,
+    level: str = STATE,
+    table: TextTable | None = None,
 ) -> dict[str, list[YearHomogeneity]]:
-    """Per-outlet, per-year homogeneity triples; years with no articles are omitted."""
+    """Per-outlet, per-year homogeneity triples; years with no articles are omitted.
+
+    `table` keeps each article's place sets, as in `count_mentions`.
+    """
     buckets: dict[tuple[str, int], list[Article]] = {}
     for article in articles:
         buckets.setdefault((article.outlet, article.published.year), []).append(article)
     trends: dict[str, list[YearHomogeneity]] = {}
     for outlet, year in sorted(buckets):
-        dist = coverage_distribution(count_mentions(buckets[(outlet, year)], gazetteer, level))
+        dist = coverage_distribution(count_mentions(buckets[(outlet, year)], gazetteer, level, table))
         share_values = [dist.shares[p] for p in sorted(dist.shares)]
         trends.setdefault(outlet, []).append(
             YearHomogeneity(

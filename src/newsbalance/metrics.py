@@ -105,25 +105,17 @@ class FeatureRow:
     negative: float
     subjectivity: float
     degree_hits: int
-    speakers: frozenset  # parties whose speech the unit reports
+    speakers: tuple[str, ...]  # sorted ids of the parties whose speech the unit reports
 
 
 @dataclass
 class AnalyzerSuite:
-    """Lexicons and matcher shared by the content analyzers.
-
-    The suite keeps each unit's feature row once computed, so a unit that
-    several documents or commands score is analyzed once. Rows are keyed by
-    the unit (article id, index, text and tokens), not by its text alone.
-    """
+    """Lexicons and matcher shared by the content analyzers."""
 
     valence: ValenceLexicon
     subjectivity: dict
     lexicons: Sequence[PartyLexicon]
     matcher: PhraseMatcher = None  # type: ignore[assignment]
-    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # One shared frozenset per distinct speaker set; most units report nobody.
-    _speaker_sets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.matcher is None:
@@ -131,18 +123,14 @@ class AnalyzerSuite:
 
     def features(self, unit: Sentence) -> FeatureRow:
         """The unit's feature row: both sentiment components come from one pass."""
-        row = self._rows.get(unit)
-        if row is None:
-            sentiment = sentence_sentiment(unit.tokens, self.valence)
-            speakers = frozenset(detect_reported_speech(unit, self.lexicons, self.matcher))
-            row = self._rows[unit] = FeatureRow(
-                positive=sentiment.positive,
-                negative=sentiment.negative,
-                subjectivity=sentence_subjectivity(unit.tokens, self.subjectivity),
-                degree_hits=sum(1 for flag in tag_degree(unit.tokens) if flag != DEGREE_NONE),
-                speakers=self._speaker_sets.setdefault(speakers, speakers),
-            )
-        return row
+        sentiment = sentence_sentiment(unit.tokens, self.valence)
+        return FeatureRow(
+            positive=sentiment.positive,
+            negative=sentiment.negative,
+            subjectivity=sentence_subjectivity(unit.tokens, self.subjectivity),
+            degree_hits=sum(1 for flag in tag_degree(unit.tokens) if flag != DEGREE_NONE),
+            speakers=tuple(sorted(detect_reported_speech(unit, self.lexicons, self.matcher))),
+        )
 
     @classmethod
     def default(cls, lexicons: Sequence[PartyLexicon]) -> "AnalyzerSuite":
@@ -166,12 +154,18 @@ def imbalance(score_b: float, score_c: float) -> float | None:
     return (score_b - score_c) / total
 
 
-def score_document(doc: MonthlyDocument, metric: MetricId, suite: AnalyzerSuite) -> float | None:
+def score_document(
+    doc: MonthlyDocument,
+    metric: MetricId,
+    suite: AnalyzerSuite,
+    table: TextTable | None = None,
+) -> float | None:
     """Score one monthly document under one metric.
 
     Coverage metrics return 0 for an empty document; the weighted-mean metrics
     (sentiment, subjectivity, superlatives/comparatives) return None because a
-    mean over nothing is undefined.
+    mean over nothing is undefined. `table` keeps the units' feature rows;
+    without one, a table is made for this call.
     """
     if doc.mode != metric.mode:
         raise ContractViolation(f"{metric.value} needs a {metric.mode}-mode document, got {doc.mode}")
@@ -179,23 +173,27 @@ def score_document(doc: MonthlyDocument, metric: MetricId, suite: AnalyzerSuite)
         return float(len(doc.units))
     if metric is MetricId.COV_CONTENT:
         return float(doc.total_words)
+    if table is None:
+        table = TextTable()
     if metric is MetricId.POV:
         total = 0
         for unit in doc.units:
-            if doc.party_id in suite.features(unit).speakers:
+            if doc.party_id in table.features(unit, suite).speakers:
                 total += unit.word_count
         return float(total)
-    return _weighted_mean_score(doc, metric, suite)
+    return _weighted_mean_score(doc, metric, suite, table)
 
 
-def _weighted_mean_score(doc: MonthlyDocument, metric: MetricId, suite: AnalyzerSuite) -> float | None:
+def _weighted_mean_score(
+    doc: MonthlyDocument, metric: MetricId, suite: AnalyzerSuite, table: TextTable
+) -> float | None:
     weight_total = 0
     weighted_sum = 0.0
     for unit in doc.units:
         weight = unit.word_count
         if weight == 0:
             continue
-        row = suite.features(unit)
+        row = table.features(unit, suite)
         if metric is MetricId.POS_SENT:
             value = row.positive
         elif metric is MetricId.NEG_SENT:
@@ -233,12 +231,13 @@ def _series_from_documents(
     outlet: str,
     parties: tuple[str, str],
     suite: AnalyzerSuite,
+    table: TextTable,
 ) -> ImbalanceSeries:
     party_b, party_c = parties
     series = ImbalanceSeries(metric=metric, outlet=outlet)
     for month in span:
-        score_b = score_document(get_document(docs, month, party_b, metric.mode), metric, suite)
-        score_c = score_document(get_document(docs, month, party_c, metric.mode), metric, suite)
+        score_b = score_document(get_document(docs, month, party_b, metric.mode), metric, suite, table)
+        score_c = score_document(get_document(docs, month, party_c, metric.mode), metric, suite, table)
         sb = score_b if score_b is not None else 0.0
         sc = score_c if score_c is not None else 0.0
         series.points.append(
@@ -273,8 +272,8 @@ def compute_all_series(
     """Series for several metrics at once, splitting sentences only once.
 
     Returns {metric value: {outlet: series}}. The result is independent of
-    article input order. `table`, built from the same lexicons, supplies the
-    tagged units; without one, a table is made for this call.
+    article input order. `table` keeps the tagged units and their feature
+    rows; without one, a table is made for this call.
     """
     metrics = list(MetricId) if metrics is None else list(metrics)
     if not articles:
@@ -282,7 +281,7 @@ def compute_all_series(
     if suite is None:
         suite = AnalyzerSuite.default(lexicons)
     if table is None:
-        table = TextTable(lexicons)
+        table = TextTable()
     parties = _check_party_pair(lexicons)
     span = month_span(articles)
     by_outlet: dict[str, list[Article]] = {}
@@ -299,7 +298,7 @@ def compute_all_series(
         }
         for metric in metrics:
             result[metric.value][outlet] = _series_from_documents(
-                docs_by_mode[metric.mode], span, metric, outlet, parties, suite
+                docs_by_mode[metric.mode], span, metric, outlet, parties, suite, table
             )
     return result
 
@@ -311,9 +310,15 @@ def aggregate_pooled(
     suite: AnalyzerSuite | None = None,
     table: TextTable | None = None,
 ) -> float | None:
-    """Directed score after pooling all months into one document per party."""
+    """Directed score after pooling all months into one document per party.
+
+    `table` keeps the tagged units and their feature rows; without one, a
+    table is made for this call.
+    """
     if suite is None:
         suite = AnalyzerSuite.default(lexicons)
+    if table is None:
+        table = TextTable()
     parties = _check_party_pair(lexicons)
     docs = build_monthly_documents(articles, lexicons, metric.mode, table)
     months = sorted({m for m, _ in docs}) or [MonthKey(1970, 1)]
@@ -324,8 +329,8 @@ def aggregate_pooled(
             merged.units.extend(get_document(docs, month, party_id, metric.mode).units)
         merged.units.sort(key=lambda u: (u.article_id, u.index))
         pooled[party_id] = merged
-    score_b = score_document(pooled[parties[0]], metric, suite)
-    score_c = score_document(pooled[parties[1]], metric, suite)
+    score_b = score_document(pooled[parties[0]], metric, suite, table)
+    score_c = score_document(pooled[parties[1]], metric, suite, table)
     sb = score_b if score_b is not None else 0.0
     sc = score_c if score_c is not None else 0.0
     return imbalance(sb, sc)

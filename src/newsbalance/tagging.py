@@ -7,8 +7,9 @@ common words ("inc.") cannot collide, while multi-word proper names match
 case-insensitively. Hyphenated compounds are split before matching, so
 "Congress-led" still mentions "Congress".
 
-A `TextTable` keeps each article's units and their party tags for a whole
-run, so the commands that read them split and match each article once.
+A `TextTable` keeps what a run derives from each article (units, party tags,
+feature rows, place sets), so the commands that read them split, match and
+score each article once.
 """
 
 from __future__ import annotations
@@ -176,21 +177,33 @@ def match_parties(text: str | Sequence[str], lexicons: Sequence[PartyLexicon]) -
 
 
 class TextTable:
-    """Each article's units and their party tags, made once and then kept.
+    """What a run derives from each article, made on first request and kept.
 
-    An entry is made on first request and kept, keyed by article, for the
-    table's lifetime: a command builds only what it reads, and a run that
-    reads an entry twice builds it once. Entries are per unit, never per
-    sentence text, so two articles that share a sentence still cost two units.
+    The table holds each article's units, the party tags of its units, the
+    feature row of each scored unit and the article's place set per gazetteer
+    level. An entry is made on first request, so a command builds only what
+    it reads, and a run that reads an entry twice builds it once. Entries are
+    per unit or article, never per sentence text, so two articles that share
+    a sentence still cost two units.
+
+    The tools that make entries (party lexicons, analyzer suite, gazetteer)
+    come with each request, so the table loads none of them until a request
+    needs it. The first tool of each kind fills its entries; passing another
+    one later is a ContractViolation, because the kept entries are not its own.
     """
 
-    def __init__(self, lexicons: Sequence[PartyLexicon] = ()):
-        self.lexicons = tuple(lexicons)
-        self._matcher = build_matcher(self.lexicons)
+    def __init__(self) -> None:
         self._units: dict[Article, tuple[Sentence, tuple[Sentence, ...]]] = {}
+        self._lexicons: tuple[PartyLexicon, ...] | None = None
+        self._matcher: PhraseMatcher | None = None
         self._tags: dict[tuple[Article, str], tuple[frozenset[str], ...]] = {}
         # One shared frozenset per distinct tag set; most units have the empty one.
         self._tag_sets: dict[frozenset[str], frozenset[str]] = {}
+        self._suite = None
+        self._rows: dict[Sentence, object] = {}
+        self._gazetteer = None
+        self._place_matchers: dict[str, PhraseMatcher] = {}
+        self._places: dict[tuple[Article, str], frozenset[str]] = {}
 
     def units(self, article: Article) -> tuple[Sentence, tuple[Sentence, ...]]:
         """The article's headline unit and its content sentences."""
@@ -199,8 +212,15 @@ class TextTable:
             entry = self._units[article] = (headline_sentence(article), tuple(article_sentences(article)))
         return entry
 
-    def tagged(self, article: Article, mode: str) -> Iterator[tuple[Sentence, frozenset[str]]]:
+    def tagged(
+        self, article: Article, mode: str, lexicons: Sequence[PartyLexicon]
+    ) -> Iterator[tuple[Sentence, frozenset[str]]]:
         """(unit, ids of the parties it mentions) for the article's units in one mode."""
+        lexicons = tuple(lexicons)
+        if self._lexicons is None:
+            self._lexicons, self._matcher = lexicons, build_matcher(lexicons)
+        elif lexicons != self._lexicons:
+            raise ContractViolation("the text table's party tags come from other lexicons")
         headline, content = self.units(article)
         units = (headline,) if mode == HEADLINE else content
         tags = self._tags.get((article, mode))
@@ -211,6 +231,32 @@ class TextTable:
                 found_sets.append(self._tag_sets.setdefault(found, found))
             tags = self._tags[(article, mode)] = tuple(found_sets)
         return zip(units, tags)
+
+    def features(self, unit: Sentence, suite):
+        """The unit's feature row, as `suite.features` makes it."""
+        if self._suite is None:
+            self._suite = suite
+        elif suite is not self._suite:
+            raise ContractViolation("the text table's feature rows come from another analyzer suite")
+        row = self._rows.get(unit)
+        if row is None:
+            row = self._rows[unit] = suite.features(unit)
+        return row
+
+    def places(self, article: Article, level: str, gazetteer) -> frozenset[str]:
+        """Places at this gazetteer level that the article's headline or content names."""
+        if self._gazetteer is None:
+            self._gazetteer = gazetteer
+        elif gazetteer is not self._gazetteer:
+            raise ContractViolation("the text table's place sets come from another gazetteer")
+        found = self._places.get((article, level))
+        if found is None:
+            matcher = self._place_matchers.get(level)
+            if matcher is None:
+                matcher = self._place_matchers[level] = gazetteer.matcher(level)
+            tokens = tokenize(article.headline) + tokenize(article.content)
+            found = self._places[(article, level)] = frozenset(matcher.match_tokens(tokens))
+        return found
 
 
 def build_monthly_documents(
@@ -224,19 +270,16 @@ def build_monthly_documents(
     In headline mode the whole headline is the unit (one per matching article
     per party); in content mode every matching sentence is a unit. A unit that
     matches several parties is included in each of their documents. `table`
-    supplies the tagged units and must be built from the same lexicons;
-    without one, a table is made for this call.
+    supplies the tagged units; without one, a table is made for this call.
     """
     if mode not in _MODES:
         raise ConfigError(f"unknown mode {mode!r}; expected one of {_MODES}")
     if table is None:
-        table = TextTable(lexicons)
-    elif table.lexicons != tuple(lexicons):
-        raise ContractViolation("the text table was built from other party lexicons")
+        table = TextTable()
     docs: dict[tuple[MonthKey, str], MonthlyDocument] = {}
     for article in articles:
         month = month_key(article.published)
-        for unit, parties in table.tagged(article, mode):
+        for unit, parties in table.tagged(article, mode, lexicons):
             for party_id in parties:
                 key = (month, party_id)
                 doc = docs.get(key)

@@ -117,6 +117,19 @@ class TestValidate:
         assert main(["validate", "--config", str(config)]) == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section, key, value, expected",
+        [
+            ("embedding", "dim", 100.0, 100),
+            ("embedding", "dim", "100", 100),
+            ("probe", "smoothing", "0.5", 0.5),
+        ],
+    )
+    def test_number_written_otherwise_is_converted(self, tmp_path, synth_dir, section, key, value, expected):
+        base = json.loads((synth_dir / "config.json").read_text())
+        config = self._rewritten_config(synth_dir, tmp_path, **{section: {**base[section], key: value}})
+        assert getattr(getattr(RunConfig.from_file(config), section), key) == expected
+
 
 class TestCommands:
     def test_metrics_emits_all_series_csv(self, synth_dir, tmp_path):
@@ -157,6 +170,16 @@ class TestCommands:
         assert len(entry["popularity"]) == 1  # 4 months span one year
         year, p_b, p_c = entry["popularity"][0]
         assert p_b + p_c == 1.0
+
+    def test_probe_reads_no_party_lexicons(self, synth_dir, tmp_path):
+        raw = json.loads((synth_dir / "config.json").read_text())
+        raw["corpora"] = {k: str(synth_dir / v) for k, v in raw["corpora"].items()}
+        (tmp_path / "broken.json").write_text("{", encoding="utf-8")
+        raw["party_lexicons"] = str(tmp_path / "broken.json")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["probe", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        assert main(["metrics", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
 
     def test_weat_requires_two_years(self, synth_dir, tmp_path):
         # the 4-month archive covers a single year: weat must exit with a data error

@@ -12,6 +12,7 @@ from newsbalance.geo import (
     homogeneity_inverse_std,
     yearly_geo_trends,
 )
+from newsbalance.tagging import TextTable
 
 from conftest import make_article
 
@@ -69,6 +70,20 @@ class TestCountMentions:
         counts = count_mentions([make_article(content="Nothing located")], gazetteer, "city")
         assert len(counts) == 25
         assert all(v == 0 for v in counts.values())
+
+
+    def test_shared_table_counts_the_same(self, gazetteer):
+        articles = [
+            make_article(id="a", content="Delhi and Odisha."),
+            make_article(id="b", content="Mumbai."),
+        ]
+        table = TextTable()
+        for level in ("city", "state"):
+            expected = count_mentions(articles, gazetteer, level)
+            assert count_mentions(articles, gazetteer, level, table) == expected
+            assert count_mentions(articles, gazetteer, level, table) == expected
+        with pytest.raises(ContractViolation):
+            count_mentions(articles, Gazetteer.default(), "city", table)
 
 
 class TestDistributionAndHomogeneity:

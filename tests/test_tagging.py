@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from newsbalance.corpus import MonthKey
-from newsbalance.errors import ConfigError
+from newsbalance.errors import ConfigError, ContractViolation
 from newsbalance.tagging import (
     CONTENT,
     HEADLINE,
     PartyLexicon,
+    TextTable,
     build_monthly_documents,
     get_document,
     load_party_lexicons,
@@ -135,6 +136,32 @@ class TestBuildMonthlyDocuments:
         assert forward.keys() == backward.keys()
         for key in forward:
             assert [u.text for u in forward[key].units] == [u.text for u in backward[key].units]
+
+
+class TestTextTable:
+    def test_entries_are_made_once(self, lexicons):
+        table = TextTable()
+        article = make_article(content="The BJP met. Congress left.")
+        assert table.units(article) is table.units(article)
+        first = list(table.tagged(article, CONTENT, lexicons))
+        assert [tags for _, tags in first] == [{"bjp"}, {"congress"}]
+        assert list(table.tagged(article, CONTENT, lexicons)) == first
+
+    def test_other_lexicons_are_refused(self, lexicons):
+        table = TextTable()
+        article = make_article(headline="BJP wins")
+        list(table.tagged(article, HEADLINE, lexicons))
+        with pytest.raises(ContractViolation):
+            table.tagged(article, HEADLINE, lexicons[::-1])
+
+    def test_other_suite_is_refused(self, lexicons, suite):
+        from newsbalance.metrics import AnalyzerSuite
+
+        table = TextTable()
+        unit = table.units(make_article(headline="BJP wins big"))[0]
+        assert table.features(unit, suite) is table.features(unit, suite)
+        with pytest.raises(ContractViolation):
+            table.features(unit, AnalyzerSuite.default(lexicons))
 
 
 @given(
