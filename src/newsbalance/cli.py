@@ -4,10 +4,11 @@ Commands: validate, synth, metrics, cluster, weat, geo, probe, report. Every
 command reads the same JSON config and writes its artifacts plus a provenance
 block (config hash, seed, tool version) under its own subdirectory, so any
 subset of commands can run independently. The commands of one run share a
-`RunContext`: it loads and filters the corpora once and keeps each article's
-units, party tags, feature rows and place sets, each made on first use, so a
-command run alone builds only what it reads. `report` runs everything on one
-context and bundles the results into one deterministic JSON file.
+`RunContext`: it loads and filters the corpora once, keeps each article's
+units, party tags, feature rows and place sets, and computes the metric
+series once for `metrics` and `cluster`, each made on first use, so a command
+run alone builds only what it reads. `report` runs everything on one context
+and bundles the results into one deterministic JSON file.
 
 Exit codes: 0 ok, 1 config error, 2 data error, 3 internal error.
 """
@@ -49,9 +50,8 @@ from .errors import (
 from .geo import Gazetteer, count_mentions, coverage_distribution, write_coverage_csv, write_trends_csv, yearly_geo_trends
 from .metrics import (
     AnalyzerSuite,
-    MetricId,
+    ImbalanceSeries,
     aggregate_mean_abs,
-    aggregate_pooled,
     compute_all_series,
     format_pooled,
     write_series_csv,
@@ -101,8 +101,9 @@ class RunContext:
     """What one run loads and derives from its config, each made on first use.
 
     The corpora are read once. The text table then keeps each article's
-    units, party tags, feature rows and place sets for the rest of the run;
-    it is the run's only memo, so it goes when the run does.
+    units, party tags, feature rows and place sets for the rest of the run.
+    The metric series are computed once, for `metrics` and `cluster`; `report`
+    drops them once `cluster` is done. Everything here goes when the run does.
     """
 
     def __init__(self, cfg: RunConfig):
@@ -123,6 +124,12 @@ class RunContext:
     @cached_property
     def table(self) -> TextTable:
         return TextTable()
+
+    @cached_property
+    def series(self) -> dict[str, dict[str, ImbalanceSeries]]:
+        """{metric: {outlet: monthly series with its pooled score}}, made once
+        for `metrics` and `cluster`."""
+        return compute_all_series(self._corpora[0], self.lexicons, self.cfg.metrics, self.suite, self.table)
 
     @cached_property
     def _corpora(self) -> tuple[list[Article], dict[str, list[SkipRecord]]]:
@@ -191,26 +198,18 @@ def cmd_validate(cfg: RunConfig) -> dict:
 def cmd_metrics(ctx: RunContext, out_base: Path) -> dict:
     cfg = ctx.cfg
     directory = _command_dir(out_base, "metrics")
-    lexicons, suite = ctx.lexicons, ctx.suite
-    articles = ctx.articles(directory)
-    tables = compute_all_series(articles, lexicons, cfg.metrics, suite, ctx.table)
-
-    by_outlet_articles: dict[str, list[Article]] = {}
-    for article in articles:
-        by_outlet_articles.setdefault(article.outlet, []).append(article)
+    ctx.articles(directory)
 
     payload: dict = {}
-    for metric_name, by_outlet in sorted(tables.items()):
-        metric = MetricId(metric_name)
+    for metric_name, by_outlet in sorted(ctx.series.items()):
         for outlet, series in sorted(by_outlet.items()):
             write_series_csv(series, directory / f"{outlet}__{metric_name}.csv")
-            pooled = aggregate_pooled(by_outlet_articles[outlet], lexicons, metric, suite, ctx.table)
             payload.setdefault(outlet, {})[metric_name] = {
                 "series": [
                     [str(p.month), p.score_b, p.score_c, p.value] for p in series.points
                 ],
-                "pooled": pooled,
-                "pooled_display": format_pooled(pooled),
+                "pooled": series.pooled,
+                "pooled_display": format_pooled(series.pooled),
                 "mean_abs": aggregate_mean_abs(series),
             }
     _write_json(
@@ -225,67 +224,53 @@ def cmd_metrics(ctx: RunContext, out_base: Path) -> dict:
 
 
 def cmd_cluster(ctx: RunContext, out_base: Path) -> dict:
+    """One DTW matrix over every non-empty (outlet, metric) series, and the
+    overall, per-metric and per-outlet dendrograms cut from it."""
     cfg = ctx.cfg
     directory = _command_dir(out_base, "cluster")
-    lexicons, suite = ctx.lexicons, ctx.suite
-    articles = ctx.articles(directory)
-    tables = compute_all_series(articles, lexicons, cfg.metrics, suite, ctx.table)
+    ctx.articles(directory)
 
-    series: dict[str, list] = {}
+    cleaned: dict[tuple[str, str], list[float]] = {}
     skipped: list[str] = []
-    for metric_name, by_outlet in tables.items():
-        for outlet, s in by_outlet.items():
-            label = f"{outlet}/{metric_name}"
-            if any(v is not None for v in s.values()):
-                series[label] = s.values()
+    for metric_name, by_outlet in ctx.series.items():
+        for outlet, series in by_outlet.items():
+            values = drop_missing(series.values())
+            if values:
+                cleaned[(outlet, metric_name)] = z_normalize(values) if cfg.znormalize else values
             else:
-                skipped.append(label)
-
-    payload: dict = {"linkage": cfg.linkage, "skipped": sorted(skipped)}
-    if len(series) >= 2:
-        cleaned = {k: drop_missing(vals) for k, vals in series.items()}
-        if cfg.znormalize:
-            cleaned = {k: z_normalize(vals) for k, vals in cleaned.items()}
-        labels, matrix = distance_matrix(cleaned)
-        write_distance_csv(labels, matrix, directory / "distance_matrix.csv")
-        overall = cluster(cleaned, linkage=cfg.linkage)
-        (directory / "dendrogram_all.newick").write_text(overall.to_newick() + "\n", encoding="utf-8")
-        payload["labels"] = labels
-        payload["distance_matrix"] = matrix
-        payload["overall"] = overall.root.to_dict()
-    else:
+                skipped.append(f"{outlet}/{metric_name}")
+    if len(cleaned) < 2:
         raise DataError("clustering needs at least 2 non-empty series")
+    labels, matrix = distance_matrix({f"{outlet}/{m}": values for (outlet, m), values in cleaned.items()})
+    write_distance_csv(labels, matrix, directory / "distance_matrix.csv")
+    payload: dict = {
+        "linkage": cfg.linkage,
+        "skipped": sorted(skipped),
+        "labels": labels,
+        "distance_matrix": matrix,
+        "by_metric": {},
+        "by_outlet": {},
+    }
 
-    by_metric: dict = {}
-    for metric_name, by_outlet in sorted(tables.items()):
-        sub = {
-            outlet: s.values()
-            for outlet, s in by_outlet.items()
-            if any(v is not None for v in s.values())
-        }
-        if len(sub) >= 2:
-            dendro = cluster(sub, linkage=cfg.linkage, znormalize=cfg.znormalize)
-            by_metric[metric_name] = dendro.root.to_dict()
-            (directory / f"dendrogram_metric_{metric_name}.newick").write_text(
-                dendro.to_newick() + "\n", encoding="utf-8"
-            )
-    payload["by_metric"] = by_metric
-
-    by_outlet_trees: dict = {}
-    outlets = sorted({a.outlet for a in articles})
-    for outlet in outlets:
-        sub = {
-            metric_name: by_out[outlet].values()
-            for metric_name, by_out in tables.items()
-            if outlet in by_out and any(v is not None for v in by_out[outlet].values())
-        }
-        if len(sub) >= 2:
-            dendro = cluster(sub, linkage=cfg.linkage, znormalize=cfg.znormalize)
-            by_outlet_trees[outlet] = dendro.root.to_dict()
-            (directory / f"dendrogram_outlet_{outlet}.newick").write_text(
-                dendro.to_newick() + "\n", encoding="utf-8"
-            )
-    payload["by_outlet"] = by_outlet_trees
+    # (file stem, where the tree goes, its key, {leaf label: row label}).
+    # Each subset clusters under its own leaf labels, which can sort
+    # differently from the row labels ("x" < "x-y", but "x-y/m" < "x/m").
+    subsets = [("all", payload, "overall", {label: label for label in labels})]
+    for metric_name in sorted({m for _, m in cleaned}):
+        leaves = {o: f"{o}/{m}" for o, m in cleaned if m == metric_name}
+        subsets.append((f"metric_{metric_name}", payload["by_metric"], metric_name, leaves))
+    for outlet in sorted({o for o, _ in cleaned}):
+        leaves = {m: f"{o}/{m}" for o, m in cleaned if o == outlet}
+        subsets.append((f"outlet_{outlet}", payload["by_outlet"], outlet, leaves))
+    row = {label: i for i, label in enumerate(labels)}
+    for stem, target, key, leaves in subsets:
+        if len(leaves) < 2:
+            continue
+        names = sorted(leaves)
+        rows = [row[leaves[name]] for name in names]
+        dendro = cluster(names, [[matrix[i][j] for j in rows] for i in rows], cfg.linkage)
+        target[key] = dendro.root.to_dict()
+        (directory / f"dendrogram_{stem}.newick").write_text(dendro.to_newick() + "\n", encoding="utf-8")
 
     _write_json(payload, directory / "cluster.json")
     _write_json(_provenance(cfg, "cluster"), directory / "provenance.json")
@@ -481,11 +466,14 @@ def cmd_report(ctx: RunContext, out_base: Path) -> dict:
     # weat first: SGNS training is the run's memory peak, and the text table
     # that the other commands share does not exist yet while it trains.
     weat = cmd_weat(ctx, out_base)
+    metrics = cmd_metrics(ctx, out_base)
+    clusters = cmd_cluster(ctx, out_base)
+    del ctx.series  # no later command reads them
     bundle = {
         "provenance": provenance,
         "commands": {
-            "metrics": cmd_metrics(ctx, out_base),
-            "cluster": cmd_cluster(ctx, out_base),
+            "metrics": metrics,
+            "cluster": clusters,
             "weat": weat,
             "geo": cmd_geo(ctx, out_base),
             "probe": cmd_probe(ctx, out_base),

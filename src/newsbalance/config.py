@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+from .corpus import tokenize
 from .errors import ConfigError
 from .metrics import MetricId
 
@@ -205,12 +206,16 @@ class RunConfig:
         party_tokens = probe_raw.get("party_tokens", ["BJP", "Congress"])
         if not isinstance(party_tokens, (list, tuple)) or len(party_tokens) != 2:
             raise ConfigError("config key probe.party_tokens: expected exactly 2 tokens")
+        for label in party_tokens:
+            # The probe reads the mask slot's distribution over single tokens.
+            if not isinstance(label, str) or tokenize(label) != [label]:
+                raise ConfigError(f"config key probe.party_tokens: {label!r} is not a single token")
         probe = ProbeConfig(
             order=_integer(probe_raw, "probe.order", 3, minimum=2),
             smoothing=_real(probe_raw, "probe.smoothing", 0.01, positive=True),
             top_k=_integer(probe_raw, "probe.top_k", 50),
             max_rank=_integer(probe_raw, "probe.max_rank", 15),
-            party_tokens=(str(party_tokens[0]), str(party_tokens[1])),
+            party_tokens=tuple(party_tokens),
             prompt=str(probe_raw.get("prompt", ProbeConfig.prompt)),
         )
 

@@ -114,7 +114,6 @@ class Sentence:
 
     article_id: str
     index: int
-    text: str
     tokens: tuple[str, ...]
 
     @property
@@ -280,16 +279,11 @@ def _interned_tokens(text: str) -> tuple[str, ...]:
 def article_sentences(article: Article) -> list[Sentence]:
     """Split an article's content into indexed, tokenized sentences."""
     return [
-        Sentence(article_id=article.id, index=i, text=span, tokens=_interned_tokens(span))
+        Sentence(article_id=article.id, index=i, tokens=_interned_tokens(span))
         for i, span in enumerate(split_sentences(article.content))
     ]
 
 
 def headline_sentence(article: Article) -> Sentence:
     """Treat the whole headline as a single sentence unit."""
-    return Sentence(
-        article_id=article.id,
-        index=0,
-        text=article.headline,
-        tokens=_interned_tokens(article.headline),
-    )
+    return Sentence(article_id=article.id, index=0, tokens=_interned_tokens(article.headline))

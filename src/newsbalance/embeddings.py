@@ -43,8 +43,6 @@ __all__ = [
     "popularity_timeline",
     "save_binary",
     "load_binary",
-    "save_text",
-    "load_text",
 ]
 
 logger = logging.getLogger(__name__)
@@ -449,26 +447,3 @@ def load_binary(path: str | Path) -> EmbeddingSpace:
     return EmbeddingSpace(
         year=year, dim=dim, vocab={t: i for i, t in enumerate(tokens)}, vectors=data.copy()
     )
-
-
-def save_text(space: EmbeddingSpace, path: str | Path) -> None:
-    """Word2vec-style text format for interop: "V dim" then one token per line."""
-    tokens = space.tokens_by_rank()
-    with Path(path).open("w", encoding="utf-8") as handle:
-        handle.write(f"{len(tokens)} {space.dim}\n")
-        for token in tokens:
-            row = space.vectors[space.vocab[token]]
-            handle.write(token + " " + " ".join(repr(float(v)) for v in row) + "\n")
-
-
-def load_text(path: str | Path, year: int = 0) -> EmbeddingSpace:
-    with Path(path).open("r", encoding="utf-8") as handle:
-        header = handle.readline().split()
-        size, dim = int(header[0]), int(header[1])
-        vocab: dict[str, int] = {}
-        vectors = np.zeros((size, dim), dtype=np.float64)
-        for i in range(size):
-            parts = handle.readline().rstrip("\n").split(" ")
-            vocab[parts[0]] = i
-            vectors[i] = [float(v) for v in parts[1 : dim + 1]]
-    return EmbeddingSpace(year=year, dim=dim, vocab=vocab, vectors=vectors)

@@ -47,7 +47,6 @@ __all__ = [
     "AnalyzerSuite",
     "imbalance",
     "score_document",
-    "compute_series",
     "compute_all_series",
     "aggregate_pooled",
     "aggregate_mean_abs",
@@ -85,11 +84,16 @@ class ImbalancePoint:
 
 @dataclass
 class ImbalanceSeries:
-    """Monthly directed scores for one (metric, outlet) pair."""
+    """Monthly directed scores for one (metric, outlet) pair.
+
+    `pooled` is the directed score of all months pooled into one document
+    per party (see `aggregate_pooled`).
+    """
 
     metric: MetricId
     outlet: str
     points: list[ImbalancePoint] = field(default_factory=list)
+    pooled: float | None = None
 
     def values(self, drop_missing: bool = False) -> list[float | None]:
         if drop_missing:
@@ -224,42 +228,31 @@ def month_span(articles: Iterable[Article]) -> list[MonthKey]:
     return span
 
 
-def _series_from_documents(
-    docs: Mapping[tuple[MonthKey, str], MonthlyDocument],
-    span: Sequence[MonthKey],
-    metric: MetricId,
-    outlet: str,
-    parties: tuple[str, str],
-    suite: AnalyzerSuite,
-    table: TextTable,
-) -> ImbalanceSeries:
-    party_b, party_c = parties
-    series = ImbalanceSeries(metric=metric, outlet=outlet)
-    for month in span:
-        score_b = score_document(get_document(docs, month, party_b, metric.mode), metric, suite, table)
-        score_c = score_document(get_document(docs, month, party_c, metric.mode), metric, suite, table)
-        sb = score_b if score_b is not None else 0.0
-        sc = score_c if score_c is not None else 0.0
-        series.points.append(
-            ImbalancePoint(month=month, value=imbalance(sb, sc), score_b=sb, score_c=sc)
-        )
-    return series
+def _directed(
+    doc_b: MonthlyDocument, doc_c: MonthlyDocument, metric: MetricId, suite: AnalyzerSuite, table: TextTable | None
+) -> ImbalancePoint:
+    """Both documents' scores (an undefined score counts as 0) and their imbalance."""
+    score_b = score_document(doc_b, metric, suite, table)
+    score_c = score_document(doc_c, metric, suite, table)
+    sb = score_b if score_b is not None else 0.0
+    sc = score_c if score_c is not None else 0.0
+    return ImbalancePoint(month=doc_b.month, value=imbalance(sb, sc), score_b=sb, score_c=sc)
+
+
+def _pool(
+    docs: Mapping[tuple[MonthKey, str], MonthlyDocument], party_id: str, mode: str
+) -> MonthlyDocument:
+    """All of one party's units over every month, in (article id, index) order."""
+    units = [unit for (_, owner), doc in docs.items() if owner == party_id for unit in doc.units]
+    units.sort(key=lambda u: (u.article_id, u.index))
+    first = min((month for month, _ in docs), default=MonthKey(1970, 1))
+    return MonthlyDocument(month=first, party_id=party_id, mode=mode, units=units)
 
 
 def _check_party_pair(lexicons: Sequence[PartyLexicon]) -> tuple[str, str]:
     if len(lexicons) != 2:
         raise ConfigError(f"directed imbalance needs exactly 2 lexicons, got {len(lexicons)}")
     return lexicons[0].party_id, lexicons[1].party_id
-
-
-def compute_series(
-    articles: Sequence[Article],
-    lexicons: Sequence[PartyLexicon],
-    metric: MetricId,
-    suite: AnalyzerSuite | None = None,
-) -> dict[str, ImbalanceSeries]:
-    """Per-outlet monthly series for one metric over the full corpus span."""
-    return compute_all_series(articles, lexicons, [metric], suite)[metric.value]
 
 
 def compute_all_series(
@@ -269,11 +262,13 @@ def compute_all_series(
     suite: AnalyzerSuite | None = None,
     table: TextTable | None = None,
 ) -> dict[str, dict[str, ImbalanceSeries]]:
-    """Series for several metrics at once, splitting sentences only once.
+    """Monthly series and pooled scores for several metrics at once.
 
-    Returns {metric value: {outlet: series}}. The result is independent of
-    article input order. `table` keeps the tagged units and their feature
-    rows; without one, a table is made for this call.
+    Returns {metric value: {outlet: series}}, each series carrying its pooled
+    score. Each outlet's monthly documents are built once per mode and shared
+    by that mode's metrics. The result is independent of article input
+    order. `table` keeps the tagged units and their feature rows; without
+    one, a table is made for this call.
     """
     metrics = list(MetricId) if metrics is None else list(metrics)
     if not articles:
@@ -282,58 +277,49 @@ def compute_all_series(
         suite = AnalyzerSuite.default(lexicons)
     if table is None:
         table = TextTable()
-    parties = _check_party_pair(lexicons)
+    party_b, party_c = _check_party_pair(lexicons)
     span = month_span(articles)
     by_outlet: dict[str, list[Article]] = {}
     for article in articles:
         by_outlet.setdefault(article.outlet, []).append(article)
 
-    modes_needed = {m.mode for m in metrics}
     result: dict[str, dict[str, ImbalanceSeries]] = {m.value: {} for m in metrics}
     for outlet in sorted(by_outlet):
-        outlet_articles = by_outlet[outlet]
-        docs_by_mode = {
-            mode: build_monthly_documents(outlet_articles, lexicons, mode, table)
-            for mode in sorted(modes_needed)
-        }
-        for metric in metrics:
-            result[metric.value][outlet] = _series_from_documents(
-                docs_by_mode[metric.mode], span, metric, outlet, parties, suite, table
-            )
+        for mode in sorted({m.mode for m in metrics}):
+            docs = build_monthly_documents(by_outlet[outlet], lexicons, mode, table)
+            pooled_b, pooled_c = _pool(docs, party_b, mode), _pool(docs, party_c, mode)
+            for metric in metrics:
+                if metric.mode != mode:
+                    continue
+                series = ImbalanceSeries(metric=metric, outlet=outlet)
+                for month in span:
+                    series.points.append(
+                        _directed(
+                            get_document(docs, month, party_b, mode),
+                            get_document(docs, month, party_c, mode),
+                            metric,
+                            suite,
+                            table,
+                        )
+                    )
+                series.pooled = aggregate_pooled(pooled_b, pooled_c, metric, suite, table)
+                result[metric.value][outlet] = series
     return result
 
 
 def aggregate_pooled(
-    articles: Sequence[Article],
-    lexicons: Sequence[PartyLexicon],
+    pooled_b: MonthlyDocument,
+    pooled_c: MonthlyDocument,
     metric: MetricId,
-    suite: AnalyzerSuite | None = None,
+    suite: AnalyzerSuite,
     table: TextTable | None = None,
 ) -> float | None:
-    """Directed score after pooling all months into one document per party.
+    """Directed score of the two parties' documents pooled over all months.
 
-    `table` keeps the tagged units and their feature rows; without one, a
-    table is made for this call.
+    `table` keeps the units' feature rows; without one, each document is
+    scored with a table of its own.
     """
-    if suite is None:
-        suite = AnalyzerSuite.default(lexicons)
-    if table is None:
-        table = TextTable()
-    parties = _check_party_pair(lexicons)
-    docs = build_monthly_documents(articles, lexicons, metric.mode, table)
-    months = sorted({m for m, _ in docs}) or [MonthKey(1970, 1)]
-    pooled: dict[str, MonthlyDocument] = {}
-    for party_id in parties:
-        merged = MonthlyDocument(month=months[0], party_id=party_id, mode=metric.mode)
-        for month in months:
-            merged.units.extend(get_document(docs, month, party_id, metric.mode).units)
-        merged.units.sort(key=lambda u: (u.article_id, u.index))
-        pooled[party_id] = merged
-    score_b = score_document(pooled[parties[0]], metric, suite, table)
-    score_c = score_document(pooled[parties[1]], metric, suite, table)
-    sb = score_b if score_b is not None else 0.0
-    sc = score_c if score_c is not None else 0.0
-    return imbalance(sb, sc)
+    return _directed(pooled_b, pooled_c, metric, suite, table).value
 
 
 def aggregate_mean_abs(series: ImbalanceSeries) -> float | None:

@@ -11,10 +11,8 @@ external transformer service stand in without code changes.
 from __future__ import annotations
 
 import json
-import math
 import urllib.request
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Protocol, Sequence, runtime_checkable
 
 from .corpus import Article, tokenize
@@ -25,8 +23,6 @@ __all__ = [
     "MASK",
     "VOTE_PROMPT",
     "MaskBackend",
-    "ProbeResult",
-    "run_probe",
     "vote_preference",
     "popularity_probability",
     "popularity_pair",
@@ -53,30 +49,8 @@ class MaskBackend(Protocol):
         ...
 
 
-@dataclass(frozen=True)
-class ProbeResult:
-    """Ranked completions for one prompt from one backend."""
-
-    prompt: str
-    tokens: tuple[tuple[str, float], ...]
-    backend_id: str
-    year: int | None = None
-
-
 def _ranked(distribution: Mapping[str, float]) -> tuple[tuple[str, float], ...]:
     return tuple(sorted(distribution.items(), key=lambda kv: (-kv[1], kv[0])))
-
-
-def run_probe(
-    backend: MaskBackend, prompt: str, mask_token: str = MASK, year: int | None = None
-) -> ProbeResult:
-    """Query a backend and rank the returned tokens (descending, ties by text)."""
-    return ProbeResult(
-        prompt=prompt,
-        tokens=_ranked(backend.query(prompt, mask_token)),
-        backend_id=backend.backend_id,
-        year=year,
-    )
 
 
 def vote_preference(backend: MaskBackend, party_token: str, prompt: str = VOTE_PROMPT) -> float:
@@ -263,10 +237,16 @@ def response_from_json(payload: Mapping) -> dict:
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise DataError(f"malformed token entry: {entry!r}")
         token, prob = entry
-        prob = float(prob)
-        if not isinstance(token, str) or prob < 0 or math.isnan(prob):
+        if (
+            not isinstance(token, str)
+            or isinstance(prob, bool)
+            or not isinstance(prob, (int, float))
+            or not prob >= 0  # also rejects NaN
+        ):
             raise DataError(f"malformed token entry: {entry!r}")
-        distribution[token] = prob
+        if token in distribution:
+            raise DataError(f"duplicate token in backend response: {token!r}")
+        distribution[token] = float(prob)
     total = sum(distribution.values())
     if total > 1.0 + 1e-6:
         raise DataError(f"token probabilities sum to {total}, above 1")

@@ -34,7 +34,6 @@ __all__ = [
     "load_party_lexicons",
     "default_party_lexicons",
     "build_matcher",
-    "match_parties",
     "build_monthly_documents",
     "get_document",
     "expand_hyphens",
@@ -168,12 +167,6 @@ def build_matcher(lexicons: Sequence[PartyLexicon]) -> PhraseMatcher:
     return PhraseMatcher(
         (lex.party_id, phrase) for lex in lexicons for phrase in lex.phrases
     )
-
-
-def match_parties(text: str | Sequence[str], lexicons: Sequence[PartyLexicon]) -> set[str]:
-    """Party ids whose lexicon matches the given text (or token sequence)."""
-    tokens = tokenize(text) if isinstance(text, str) else text
-    return build_matcher(lexicons).match_tokens(tokens)
 
 
 class TextTable:

@@ -130,28 +130,23 @@ def distance_matrix(series: Mapping[str, Sequence[float]]) -> tuple[list[str], l
 
 
 def cluster(
-    series: Mapping[str, Sequence[float | None]],
+    labels: Sequence[str],
+    matrix: Sequence[Sequence[float]],
     linkage: str = "average",
-    znormalize: bool = False,
 ) -> Dendrogram:
-    """Agglomerative clustering of series under DTW distance.
+    """Agglomerative clustering over a precomputed distance matrix.
 
-    Missing points are dropped per series before computing distances. Merge
+    `matrix[i][j]` is the distance between `labels[i]` and `labels[j]`. Merge
     ties are broken by the lexicographically smallest pair of leaf-label
-    tuples, so the result is independent of input ordering.
+    tuples, so the result does not depend on the order of the labels.
     """
     if linkage not in _LINKAGES:
         raise ContractViolation(f"unknown linkage {linkage!r}; expected one of {_LINKAGES}")
-    if len(series) < 2:
-        raise ContractViolation("clustering requires at least 2 series")
-    cleaned = {}
-    for label, values in series.items():
-        kept = drop_missing(values)
-        if not kept:
-            raise ContractViolation(f"series {label!r} has no non-missing points")
-        cleaned[label] = z_normalize(kept) if znormalize else kept
-
-    labels, matrix = distance_matrix(cleaned)
+    if len(labels) < 2:
+        raise ContractViolation("clustering requires at least 2 labels")
+    if len(matrix) != len(labels) or any(len(row) != len(labels) for row in matrix):
+        raise ContractViolation("distance matrix must be square, one row per label")
+    labels = list(labels)
     nodes: list[DendrogramNode] = [DendrogramNode(height=0.0, label=lab) for lab in labels]
     members: list[tuple[str, ...]] = [(lab,) for lab in labels]
     sizes: list[int] = [1] * len(labels)

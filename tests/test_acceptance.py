@@ -26,7 +26,7 @@ from newsbalance.errors import DegenerateScoreError
 from newsbalance.geo import Gazetteer, bottom_share, homogeneity_inverse_std, yearly_geo_trends
 from newsbalance.metrics import MetricId, compute_all_series, imbalance
 from newsbalance.probe import ngram_backend, popularity_pair, popularity_probability, token_delta_ranking
-from newsbalance.timeseries import cluster, dtw_distance
+from newsbalance.timeseries import cluster, distance_matrix, dtw_distance
 
 from conftest import make_article
 from test_timeseries import brute_force_dtw
@@ -95,9 +95,10 @@ def test_criterion_04_clustering_fidelity():
         shared_a = list(signal + rng.normal(0, 0.1, 24))
         shared_b = list(signal + rng.normal(0, 0.1, 24))
         independent = list(rng.normal(0, 0.5, 24))
-        dendro = cluster(
+        labels, matrix = distance_matrix(
             {"outlet-a": shared_a, "outlet-b": shared_b, "outlet-c": independent}
         )
+        dendro = cluster(labels, matrix)
         root = dendro.root.to_dict()
         first = _first_merge(root)
         if sorted(_leaf_labels(first)) == ["outlet-a", "outlet-b"]:

@@ -1,19 +1,25 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
+import importlib.util
 import json
+import os
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from newsbalance import corpus, nlp
+from newsbalance import corpus, metrics, nlp, tagging, timeseries
 from newsbalance.cli import main
 from newsbalance.config import RunConfig
-from newsbalance.corpus import article_sentences, load_corpus
+from newsbalance.corpus import article_sentences, load_corpus, write_corpus
 from newsbalance.errors import ConfigError
+from newsbalance.metrics import compute_all_series
 from newsbalance.tagging import build_matcher, default_party_lexicons
+from newsbalance.timeseries import cluster, distance_matrix, drop_missing, z_normalize
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SAMPLE_CONFIG = REPO_ROOT / "sample" / "config.json"
@@ -108,6 +114,10 @@ class TestValidate:
             (None, "date_range", "2014"),
             (None, "embedding", [32]),
             (None, "metrics", 3),
+            ("probe", "party_tokens", ["BJP", "Indian National Congress"]),
+            ("probe", "party_tokens", ["BJP", "Congress."]),
+            ("probe", "party_tokens", ["BJP", ""]),
+            ("probe", "party_tokens", ["BJP", 7]),
         ],
     )
     def test_bad_value_is_a_config_error(self, tmp_path, synth_dir, capsys, section, key, value):
@@ -252,12 +262,100 @@ def test_report_splits_and_scores_each_article_once(two_year_dir, tmp_path, monk
     _count_calls(monkeypatch, corpus, "load_corpus", counts)
     _count_calls(monkeypatch, corpus, "split_sentences", counts)
     _count_calls(monkeypatch, nlp, "sentence_sentiment", counts)
+    _count_calls(monkeypatch, metrics, "compute_all_series", counts)
+    _count_calls(monkeypatch, tagging, "build_monthly_documents", counts)
+    _count_calls(monkeypatch, timeseries, "dtw_distance", counts)
     assert main(["report", "--config", str(two_year_dir / "config.json"), "--out", str(tmp_path)]) == 0
 
     assert counts["load_corpus"] == len(raw["corpora"])
     # weat's own pass plus the shared text table
     assert counts["split_sentences"] <= 2 * len(articles)
     assert 0 < counts["sentence_sentiment"] <= scored_units
+    # the series once, from one document build per outlet and mode
+    assert counts["compute_all_series"] == 1
+    assert counts["build_monthly_documents"] == 2 * len(raw["corpora"])
+    # one DTW distance per pair of clustered series
+    labels = json.loads((tmp_path / "cluster" / "cluster.json").read_text())["labels"]
+    assert counts["dtw_distance"] == len(labels) * (len(labels) - 1) // 2
+
+
+@pytest.fixture(scope="module")
+def prefix_dir(tmp_path_factory):
+    """A small archive in which one outlet name is a prefix of another."""
+    directory = tmp_path_factory.mktemp("prefix")
+    code = main(
+        ["synth", "--out", str(directory), "--seed", "7", "--months", "6",
+         "--articles-per-month", "10"]
+    )
+    assert code == 0
+    path = directory / "corpus" / "daily-alpha.jsonl"
+    articles, _ = load_corpus(path)
+    write_corpus([dataclasses.replace(a, outlet="daily") for a in articles], path)
+    return directory
+
+
+@pytest.mark.parametrize("znormalize", [False, True])
+def test_subset_dendrograms_equal_clustering_each_subset_alone(prefix_dir, tmp_path, znormalize):
+    """Trees cut from the one DTW matrix equal trees clustered from each subset's own series.
+
+    "daily" < "daily-beta", but "daily-beta/m" < "daily/m", so a subset
+    clustered in the order of its matrix rows would differ.
+    """
+    raw = json.loads((prefix_dir / "config.json").read_text())
+    raw["corpora"] = {k: str(prefix_dir / v) for k, v in raw["corpora"].items()}
+    raw["clustering"]["znormalize"] = znormalize
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["cluster", "--config", str(config), "--out", str(out)]) == 0
+    payload = json.loads((out / "cluster" / "cluster.json").read_text())
+
+    articles = [a for path in raw["corpora"].values() for a in load_corpus(path)[0]]
+    tables = compute_all_series(articles, default_party_lexicons())
+    outlets = sorted({a.outlet for a in articles})
+    assert outlets == ["daily", "daily-beta", "daily-gamma"]
+
+    def check(tree, stem, series):
+        kept = {label: drop_missing(s.values()) for label, s in series.items()}
+        kept = {label: z_normalize(v) if znormalize else v for label, v in kept.items() if v}
+        if len(kept) < 2:
+            assert tree is None, stem
+            return
+        expected = cluster(*distance_matrix(kept), linkage=raw["clustering"]["linkage"])
+        assert tree == expected.root.to_dict(), stem
+        newick = (out / "cluster" / f"dendrogram_{stem}.newick").read_text(encoding="utf-8")
+        assert newick == expected.to_newick() + "\n", stem
+
+    for metric_name, by_outlet in tables.items():
+        check(payload["by_metric"].get(metric_name), f"metric_{metric_name}", by_outlet)
+    for outlet in outlets:
+        by_metric = {m: by_outlet[outlet] for m, by_outlet in tables.items()}
+        check(payload["by_outlet"].get(outlet), f"outlet_{outlet}", by_metric)
+    full = {f"{s.outlet}/{m}": s for m, by_outlet in tables.items() for s in by_outlet.values()}
+    check(payload["overall"], "all", full)
+
+
+def test_traced_report_calls_every_layer(two_year_dir, tmp_path):
+    """Every function the benchmark's tracer wraps is still there and called by `report`.
+
+    The tracer rebinds functions for its whole process, so it runs in its own.
+    """
+    spans = tmp_path / "report.spans"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "perfbench" / "tracer.py"), "--spans", str(spans), "--",
+         "report", "--config", str(two_year_dir / "config.json"), "--out", str(tmp_path / "out")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert result.returncode == 0, result.stderr
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", REPO_ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.summarize([spans])["missing"] == []
 
 
 class TestSynth:

@@ -11,10 +11,8 @@ from newsbalance.embeddings import (
     cosine,
     differential_association,
     load_binary,
-    load_text,
     popularity_timeline,
     save_binary,
-    save_text,
     train_sgns,
     weat_score,
 )
@@ -345,14 +343,6 @@ class TestPersistence:
         assert loaded.year == space.year and loaded.dim == space.dim
         assert loaded.vocab == space.vocab
         assert np.array_equal(loaded.vectors, space.vectors.astype(np.float32))
-
-    def test_text_round_trip(self, tmp_path):
-        space = space_from_rows(np.random.default_rng(0).normal(size=(5, 3)))
-        path = tmp_path / "space.txt"
-        save_text(space, path)
-        loaded = load_text(path)
-        assert loaded.vocab == space.vocab
-        assert np.allclose(loaded.vectors, space.vectors, atol=0)
 
     def test_binary_rejects_other_files(self, tmp_path):
         path = tmp_path / "noise.bin"

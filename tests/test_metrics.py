@@ -14,7 +14,7 @@ from newsbalance.metrics import (
     MetricId,
     aggregate_mean_abs,
     aggregate_pooled,
-    compute_series,
+    compute_all_series,
     format_pooled,
     imbalance,
     month_span,
@@ -22,7 +22,7 @@ from newsbalance.metrics import (
     write_series_csv,
 )
 from newsbalance.nlp import ValenceLexicon, sentence_sentiment
-from newsbalance.tagging import CONTENT, HEADLINE, MonthlyDocument
+from newsbalance.tagging import CONTENT, HEADLINE, MonthlyDocument, build_monthly_documents
 
 from conftest import make_article
 
@@ -34,9 +34,14 @@ scores = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_subnorma
 sane_scores = st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=1e6))
 
 
+def series_for(articles, lexicons, metric, suite):
+    """{outlet: series} for one metric, as the commands compute it."""
+    return compute_all_series(articles, lexicons, [metric], suite)[metric.value]
+
+
 def content_doc(texts, party_id="bjp"):
     units = [
-        Sentence(article_id=f"a{i}", index=0, text=t, tokens=tuple(t.split()))
+        Sentence(article_id=f"a{i}", index=0, tokens=tuple(t.split()))
         for i, t in enumerate(texts)
     ]
     return MonthlyDocument(month=MONTH, party_id=party_id, mode=CONTENT, units=units)
@@ -88,7 +93,7 @@ class TestImbalance:
 class TestScoreDocument:
     def test_headline_count(self, suite):
         units = [
-            Sentence(article_id=f"a{i}", index=0, text="BJP wins", tokens=("BJP", "wins"))
+            Sentence(article_id=f"a{i}", index=0, tokens=("BJP", "wins"))
             for i in range(12)
         ]
         doc = MonthlyDocument(month=MONTH, party_id="bjp", mode=HEADLINE, units=units)
@@ -164,7 +169,7 @@ class TestComputeSeries:
             make_article(id=f"a{i}", headline="BJP rally today", content="Neutral.")
             for i in range(3)
         ]
-        series = compute_series(articles, lexicons, MetricId.COV_HEAD, suite)["daily-alpha"]
+        series = series_for(articles, lexicons, MetricId.COV_HEAD, suite)["daily-alpha"]
         assert [p.value for p in series.points] == [1.0]
 
     def test_month_without_matches_is_missing(self, lexicons, suite):
@@ -172,7 +177,7 @@ class TestComputeSeries:
             make_article(id="a1", published="2010-01-10", headline="BJP speaks", content="x"),
             make_article(id="a2", published="2010-02-10", headline="Weather news", content="x"),
         ]
-        series = compute_series(articles, lexicons, MetricId.COV_HEAD, suite)["daily-alpha"]
+        series = series_for(articles, lexicons, MetricId.COV_HEAD, suite)["daily-alpha"]
         assert series.points[0].value == 1.0
         assert series.points[1].value is None
 
@@ -182,7 +187,7 @@ class TestComputeSeries:
         ] + [
             make_article(id=f"c{i}", headline="Congress gains", content="x") for i in range(3)
         ]
-        series = compute_series(articles, lexicons, MetricId.COV_HEAD, suite)["daily-alpha"]
+        series = series_for(articles, lexicons, MetricId.COV_HEAD, suite)["daily-alpha"]
         assert series.points[0].value == 0.4
 
     def test_series_covers_span_per_outlet(self, lexicons, suite):
@@ -190,13 +195,13 @@ class TestComputeSeries:
             make_article(id="a1", published="2010-01-05", headline="BJP x", content="y"),
             make_article(id="a2", published="2010-04-05", headline="Congress y", content="y"),
         ]
-        series = compute_series(articles, lexicons, MetricId.COV_HEAD, suite)["daily-alpha"]
+        series = series_for(articles, lexicons, MetricId.COV_HEAD, suite)["daily-alpha"]
         assert [str(p.month) for p in series.points] == ["2010-01", "2010-02", "2010-03", "2010-04"]
 
     def test_input_order_does_not_matter(self, lexicons, suite, bundled_articles):
         sample = list(bundled_articles[:150])
-        forward = compute_series(sample, lexicons, MetricId.POS_SENT, suite)
-        backward = compute_series(list(reversed(sample)), lexicons, MetricId.POS_SENT, suite)
+        forward = series_for(sample, lexicons, MetricId.POS_SENT, suite)
+        backward = series_for(list(reversed(sample)), lexicons, MetricId.POS_SENT, suite)
         for outlet in forward:
             fv = [p.value for p in forward[outlet].points]
             bv = [p.value for p in backward[outlet].points]
@@ -204,11 +209,11 @@ class TestComputeSeries:
 
     def test_empty_corpus_rejected(self, lexicons, suite):
         with pytest.raises(ConfigError):
-            compute_series([], lexicons, MetricId.COV_HEAD, suite)
+            series_for([], lexicons, MetricId.COV_HEAD, suite)
 
     def test_requires_exactly_two_lexicons(self, lexicons, suite):
         with pytest.raises(ConfigError):
-            compute_series([make_article()], lexicons[:1], MetricId.COV_HEAD, suite)
+            series_for([make_article()], lexicons[:1], MetricId.COV_HEAD, suite)
 
 
 class TestAggregates:
@@ -217,9 +222,8 @@ class TestAggregates:
             make_article(id="a1", headline="BJP up", content="c"),
             make_article(id="a2", headline="Congress down", content="c"),
         ]
-        series = compute_series(articles, lexicons, MetricId.COV_HEAD, suite)["daily-alpha"]
-        pooled = aggregate_pooled(articles, lexicons, MetricId.COV_HEAD, suite)
-        assert pooled == series.points[0].value
+        series = series_for(articles, lexicons, MetricId.COV_HEAD, suite)["daily-alpha"]
+        assert series.pooled == series.points[0].value
 
     def test_pooled_counts_cancel(self, lexicons, suite):
         articles = [
@@ -229,7 +233,34 @@ class TestAggregates:
             make_article(id=f"c{i}", published="2010-02-10", headline="Congress y", content="c")
             for i in range(10)
         ]
-        assert aggregate_pooled(articles, lexicons, MetricId.COV_HEAD, suite) == 0
+        series = series_for(articles, lexicons, MetricId.COV_HEAD, suite)["daily-alpha"]
+        assert [p.value for p in series.points] == [1.0, -1.0]
+        assert series.pooled == 0
+
+    def test_pooled_scores_the_pooled_documents(self, lexicons, suite):
+        articles = [
+            make_article(id="a1", published="2010-01-10", content="BJP delivered a good result."),
+            make_article(id="a2", published="2010-02-10", content="Congress made a bad and dishonest move."),
+            make_article(id="a3", published="2010-02-11", content="BJP plans were honest and good."),
+        ]
+        series = series_for(articles, lexicons, MetricId.POS_SENT, suite)["daily-alpha"]
+        docs = build_monthly_documents(articles, lexicons, CONTENT)
+        pooled = [
+            MonthlyDocument(
+                month=MONTH,
+                party_id=party,
+                mode=CONTENT,
+                units=sorted(
+                    (u for (_, p), d in docs.items() if p == party for u in d.units),
+                    key=lambda u: (u.article_id, u.index),
+                ),
+            )
+            for party in ("bjp", "congress")
+        ]
+        assert series.pooled == aggregate_pooled(pooled[0], pooled[1], MetricId.POS_SENT, suite)
+        assert series.pooled == imbalance(
+            score_document(pooled[0], MetricId.POS_SENT, suite), score_document(pooled[1], MetricId.POS_SENT, suite)
+        )
 
     def test_table_display_format(self):
         assert format_pooled(0.1618) == "↑16.18"
@@ -252,7 +283,7 @@ class TestAggregates:
 
     def test_mean_abs_bounds(self, lexicons, suite, bundled_articles):
         sample = bundled_articles[:300]
-        for outlet, series in compute_series(sample, lexicons, MetricId.COV_CONTENT, suite).items():
+        for outlet, series in series_for(sample, lexicons, MetricId.COV_CONTENT, suite).items():
             value = aggregate_mean_abs(series)
             assert value is None or 0.0 <= value <= 1.0
 
@@ -280,7 +311,7 @@ def test_series_csv_round_trips_missing(tmp_path, lexicons, suite):
         make_article(id="a1", published="2010-01-10", headline="BJP speaks", content="x"),
         make_article(id="a2", published="2010-02-10", headline="No party here", content="x"),
     ]
-    series = compute_series(articles, lexicons, MetricId.COV_HEAD, suite)["daily-alpha"]
+    series = series_for(articles, lexicons, MetricId.COV_HEAD, suite)["daily-alpha"]
     path = tmp_path / "series.csv"
     write_series_csv(series, path)
     with path.open() as handle:

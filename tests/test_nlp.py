@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from newsbalance.corpus import tokenize
 from newsbalance.errors import ConfigError
 from newsbalance.nlp import (
     CAPS_EMPHASIS,
@@ -22,7 +23,7 @@ from newsbalance.nlp import (
     sentence_subjectivity,
     tag_degree,
 )
-from newsbalance.tagging import match_parties
+from newsbalance.tagging import build_matcher
 
 
 def norm(total: float) -> float:
@@ -190,7 +191,7 @@ class TestReportedSpeech:
     )
     def test_attribution_implies_mention(self, lexicons, sentence):
         attributed = detect_reported_speech(sentence, lexicons)
-        assert attributed <= match_parties(sentence, lexicons)
+        assert attributed <= build_matcher(lexicons).match_tokens(tokenize(sentence))
 
     def test_pluggable_parser_slot(self, lexicons):
         everything = lambda tokens: {"bjp", "congress"}

@@ -18,7 +18,6 @@ from newsbalance.probe import (
     request_to_json,
     response_from_json,
     response_to_json,
-    run_probe,
     token_delta_ranking,
     vote_preference,
 )
@@ -179,12 +178,11 @@ class TestNgramBackend:
             NgramMaskBackend(smoothing=0.0)
 
 
-class TestProbeResultRanking:
+class TestResponseRanking:
     def test_ranked_descending_ties_by_token(self):
         backend = StubBackend({"b": 0.2, "a": 0.2, "c": 0.6})
-        result = run_probe(backend, "x <mask>", year=2010)
-        assert result.tokens == (("c", 0.6), ("a", 0.2), ("b", 0.2))
-        assert result.year == 2010 and result.backend_id == "stub"
+        payload = response_to_json(backend.query("x <mask>"))
+        assert payload["tokens"] == [["c", 0.6], ["a", 0.2], ["b", 0.2]]
 
 
 class TestWireFormat:
@@ -206,6 +204,17 @@ class TestWireFormat:
             response_from_json({"tokens": [["x", -0.5]]})
         with pytest.raises(DataError):
             response_from_json({"tokens": [["x", 0.8], ["y", 0.7]]})
+        # non-numeric probabilities, a non-string token, and a token listed twice
+        for tokens in (
+            [["x", "x"]],
+            [["x", None]],
+            [["x", True]],
+            [["x", float("nan")]],
+            [[7, 0.5]],
+            [["x", 0.2], ["x", 0.3]],
+        ):
+            with pytest.raises(DataError):
+                response_from_json({"tokens": tokens})
 
     def test_remote_backend_round_trip(self):
         """Serve the documented JSON shape from a local stub and query it."""

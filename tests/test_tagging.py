@@ -3,20 +3,26 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from newsbalance.corpus import MonthKey
+from newsbalance.corpus import MonthKey, tokenize
 from newsbalance.errors import ConfigError, ContractViolation
 from newsbalance.tagging import (
     CONTENT,
     HEADLINE,
     PartyLexicon,
     TextTable,
+    build_matcher,
     build_monthly_documents,
     get_document,
     load_party_lexicons,
-    match_parties,
 )
 
 from conftest import make_article
+
+
+def match_parties(text, lexicons):
+    """Party ids whose lexicon matches the text (or token sequence), as the text table tags units."""
+    tokens = tokenize(text) if isinstance(text, str) else text
+    return build_matcher(lexicons).match_tokens(tokens)
 
 
 class TestMatchParties:
@@ -82,7 +88,8 @@ class TestBuildMonthlyDocuments:
         bjp_doc = get_document(docs, month, "bjp", CONTENT)
         congress_doc = get_document(docs, month, "congress", CONTENT)
         assert len(bjp_doc.units) == 1 and len(congress_doc.units) == 1
-        assert bjp_doc.units[0].text == congress_doc.units[0].text
+        assert bjp_doc.units[0] == congress_doc.units[0]
+        assert bjp_doc.units[0].tokens == ("BJP", "blamed", "Congress")
 
     def test_sentence_counting(self, lexicons):
         article = make_article(
@@ -117,8 +124,8 @@ class TestBuildMonthlyDocuments:
         for mode in (HEADLINE, CONTENT):
             docs = build_monthly_documents(articles, lexicons, mode)
             docs_swapped = build_monthly_documents(articles, swapped, mode)
-            assert {k: [u.text for u in d.units] for k, d in docs.items()} == {
-                k: [u.text for u in d.units] for k, d in docs_swapped.items()
+            assert {k: [u.tokens for u in d.units] for k, d in docs.items()} == {
+                k: [u.tokens for u in d.units] for k, d in docs_swapped.items()
             }
 
     def test_units_rematch_their_lexicon(self, lexicons, bundled_articles):
@@ -135,7 +142,9 @@ class TestBuildMonthlyDocuments:
         backward = build_monthly_documents(list(reversed(sample)), lexicons, CONTENT)
         assert forward.keys() == backward.keys()
         for key in forward:
-            assert [u.text for u in forward[key].units] == [u.text for u in backward[key].units]
+            assert [(u.article_id, u.index) for u in forward[key].units] == [
+                (u.article_id, u.index) for u in backward[key].units
+            ]
 
 
 class TestTextTable:

@@ -92,9 +92,16 @@ class TestDtwDistance:
         assert dtw_distance(a, b) < sum(abs(x - y) for x, y in zip(a, b))
 
 
+def cluster_series(series, linkage="average"):
+    """Cluster raw series as the `cluster` command does: drop missing points,
+    compute one DTW matrix, then cluster over it."""
+    labels, matrix = distance_matrix({label: drop_missing(values) for label, values in series.items()})
+    return cluster(labels, matrix, linkage)
+
+
 class TestCluster:
     def test_identical_pair_merges_first(self):
-        dendro = cluster({"n1": [0.0, 0.2], "n2": [0.0, 0.2], "far": [1.0, -1.0]})
+        dendro = cluster_series({"n1": [0.0, 0.2], "n2": [0.0, 0.2], "far": [1.0, -1.0]})
         first_merge = _deepest_internal(dendro.root)
         assert sorted(_leaves(first_merge)) == ["n1", "n2"]
         assert first_merge["height"] == 0.0
@@ -106,7 +113,7 @@ class TestCluster:
         d_ac = dtw_distance(series["a"], series["c"])
         d_bc = dtw_distance(series["b"], series["c"])
         assert d_ab == d_ac == d_bc == 4.0
-        dendro = cluster(series)
+        dendro = cluster_series(series)
         first_merge = _deepest_internal(dendro.root)
         assert sorted(_leaves(first_merge)) == ["a", "b"]
 
@@ -117,41 +124,50 @@ class TestCluster:
             for o in range(3)
             for m in range(7)
         }
-        dendro = cluster(series)
+        dendro = cluster_series(series)
         assert sorted(dendro.root.leaves()) == sorted(series)
         assert len(dendro.root.leaves()) == 21
 
     def test_missing_points_dropped(self):
-        dendro = cluster({"x": [None, 0.5, None, 0.5], "y": [0.5, 0.5], "z": [9.0, 9.0]})
+        dendro = cluster_series({"x": [None, 0.5, None, 0.5], "y": [0.5, 0.5], "z": [9.0, 9.0]})
         first_merge = _deepest_internal(dendro.root)
         assert sorted(_leaves(first_merge)) == ["x", "y"]
 
     def test_heights_monotone_average_linkage(self):
         rng = random.Random(11)
         series = {f"s{i}": [rng.uniform(-1, 1) for _ in range(10)] for i in range(8)}
-        dendro = cluster(series, linkage="average")
+        dendro = cluster_series(series, linkage="average")
         assert _heights_monotone(dendro.root)
 
     def test_too_few_series_rejected(self):
         with pytest.raises(ContractViolation):
-            cluster({"only": [1.0]})
+            cluster_series({"only": [1.0]})
 
     def test_all_missing_series_rejected(self):
+        # DTW refuses an empty series; the command skips such series before it
         with pytest.raises(ContractViolation):
-            cluster({"a": [None], "b": [1.0]})
+            cluster_series({"a": [None], "b": [1.0]})
+
+    def test_matrix_must_match_labels(self):
+        with pytest.raises(ContractViolation):
+            cluster(["a", "b"], [[0.0, 1.0]])
+        with pytest.raises(ContractViolation):
+            cluster(["a", "b"], [[0.0, 1.0], [1.0]])
 
     def test_unknown_linkage_rejected(self):
         with pytest.raises(ContractViolation):
-            cluster({"a": [1.0], "b": [2.0]}, linkage="centroid")
+            cluster_series({"a": [1.0], "b": [2.0]}, linkage="centroid")
 
     def test_deterministic_under_input_order(self):
         rng = random.Random(3)
         series = {f"s{i}": [rng.uniform(-1, 1) for _ in range(12)] for i in range(6)}
-        shuffled = dict(reversed(list(series.items())))
-        assert cluster(series).to_json() == cluster(shuffled).to_json()
+        labels, matrix = distance_matrix(series)
+        order = [3, 0, 5, 1, 4, 2]
+        shuffled = cluster([labels[i] for i in order], [[matrix[i][j] for j in order] for i in order])
+        assert cluster(labels, matrix).to_json() == shuffled.to_json()
 
     def test_newick_and_json_outputs(self):
-        dendro = cluster({"a": [0.0], "b": [0.0], "c": [4.0]})
+        dendro = cluster_series({"a": [0.0], "b": [0.0], "c": [4.0]})
         newick = dendro.to_newick()
         assert newick.endswith(";") and "a" in newick and "c" in newick
         tree = json.loads(dendro.to_json())
