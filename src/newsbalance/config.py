@@ -18,6 +18,7 @@ from typing import Any
 from .corpus import tokenize
 from .errors import ConfigError
 from .metrics import MetricId
+from .probe import MASK
 
 __all__ = ["RunConfig", "EmbeddingConfig", "ProbeConfig"]
 
@@ -59,7 +60,9 @@ def _integer(section: dict, key: str, default: int, minimum: int | None = None) 
     return number
 
 
-def _real(section: dict, key: str, default: float, positive: bool = False) -> float:
+def _real(
+    section: dict, key: str, default: float, minimum: float | None = None, strict: bool = False
+) -> float:
     value = section.get(key.rpartition(".")[2], default)
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise ConfigError(f"config key {key}: expected a number, got {value!r}")
@@ -67,8 +70,9 @@ def _real(section: dict, key: str, default: float, positive: bool = False) -> fl
         number = float(value)
     except ValueError:
         raise ConfigError(f"config key {key}: expected a number, got {value!r}") from None
-    if positive and not number > 0:
-        raise ConfigError(f"config key {key}: must be > 0, got {number}")
+    if minimum is not None and not (number > minimum if strict else number >= minimum):
+        bound = ">" if strict else ">="
+        raise ConfigError(f"config key {key}: must be {bound} {minimum}, got {number}")
     return number
 
 
@@ -183,16 +187,23 @@ class RunConfig:
         linkage = clustering.get("linkage", "average")
         if linkage not in _LINKAGES:
             raise ConfigError(f"config key clustering.linkage: expected one of {_LINKAGES}")
+        znormalize = clustering.get("znormalize", False)
+        if not isinstance(znormalize, bool):
+            raise ConfigError(
+                f"config key clustering.znormalize: expected true or false, got {znormalize!r}"
+            )
 
         embedding_raw = _section(raw, "embedding")
+        dim = _integer(embedding_raw, "embedding.dim", 100, minimum=1)
         embedding = EmbeddingConfig(
-            dim=_integer(embedding_raw, "embedding.dim", 100, minimum=1),
+            dim=dim,
             window=_integer(embedding_raw, "embedding.window", 5, minimum=1),
             negatives=_integer(embedding_raw, "embedding.negatives", 5, minimum=0),
             epochs=_integer(embedding_raw, "embedding.epochs", 5, minimum=1),
-            min_count=_integer(embedding_raw, "embedding.min_count", 5),
-            subsample=_real(embedding_raw, "embedding.subsample", 1e-3),
-            anchor_count=_integer(embedding_raw, "embedding.anchor_count", 1000),
+            min_count=_integer(embedding_raw, "embedding.min_count", 5, minimum=1),
+            subsample=_real(embedding_raw, "embedding.subsample", 1e-3, minimum=0.0),
+            # `align` needs at least one shared anchor per dimension.
+            anchor_count=_integer(embedding_raw, "embedding.anchor_count", 1000, minimum=dim),
             alignment=embedding_raw.get("alignment", "procrustes"),
         )
         if embedding.alignment not in _ALIGNMENTS:
@@ -210,13 +221,20 @@ class RunConfig:
             # The probe reads the mask slot's distribution over single tokens.
             if not isinstance(label, str) or tokenize(label) != [label]:
                 raise ConfigError(f"config key probe.party_tokens: {label!r} is not a single token")
+        prompt = probe_raw.get("prompt", ProbeConfig.prompt)
+        # The rule `NgramMaskBackend.query` applies to every prompt.
+        if not isinstance(prompt, str) or len(prompt.split(MASK)) != 2:
+            raise ConfigError(
+                f"config key probe.prompt: expected a string with exactly one {MASK!r} slot, "
+                f"got {prompt!r}"
+            )
         probe = ProbeConfig(
             order=_integer(probe_raw, "probe.order", 3, minimum=2),
-            smoothing=_real(probe_raw, "probe.smoothing", 0.01, positive=True),
-            top_k=_integer(probe_raw, "probe.top_k", 50),
-            max_rank=_integer(probe_raw, "probe.max_rank", 15),
+            smoothing=_real(probe_raw, "probe.smoothing", 0.01, minimum=0.0, strict=True),
+            top_k=_integer(probe_raw, "probe.top_k", 50, minimum=0),
+            max_rank=_integer(probe_raw, "probe.max_rank", 15, minimum=0),
             party_tokens=tuple(party_tokens),
-            prompt=str(probe_raw.get("prompt", ProbeConfig.prompt)),
+            prompt=prompt,
         )
 
         analyzers = _section(raw, "analyzers")
@@ -248,7 +266,7 @@ class RunConfig:
             subjectivity_path=resolve(analyzers.get("subjectivity"), "analyzers.subjectivity"),
             metrics=metrics,
             linkage=linkage,
-            znormalize=bool(clustering.get("znormalize", False)),
+            znormalize=znormalize,
             embedding=embedding,
             weat_positive=weat_positive,
             weat_negative=weat_negative,

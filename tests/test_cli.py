@@ -118,6 +118,16 @@ class TestValidate:
             ("probe", "party_tokens", ["BJP", "Congress."]),
             ("probe", "party_tokens", ["BJP", ""]),
             ("probe", "party_tokens", ["BJP", 7]),
+            ("clustering", "znormalize", "false"),
+            ("clustering", "znormalize", 0),
+            ("probe", "prompt", "people vote for"),
+            ("probe", "prompt", "vote for <mask> or <mask>"),
+            ("probe", "prompt", ["vote for <mask>"]),
+            ("probe", "top_k", -5),
+            ("probe", "max_rank", -1),
+            ("embedding", "subsample", -1),
+            ("embedding", "min_count", 0),
+            ("embedding", "anchor_count", 3),
         ],
     )
     def test_bad_value_is_a_config_error(self, tmp_path, synth_dir, capsys, section, key, value):

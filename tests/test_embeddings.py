@@ -3,7 +3,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from newsbalance import embeddings
 from newsbalance.embeddings import (
+    _SCATTER_BLOCK_ROWS,
     AssociationSets,
     EmbeddingSpace,
     SgnsParams,
@@ -86,6 +88,54 @@ class TestTrainSgns:
         sentences = [["b", "b", "b", "a", "a", "c"]] * 3
         space = train_sgns(sentences, small_params(window=2))
         assert space.tokens_by_rank() == ["b", "a", "c"]
+
+
+class TestScatterAdd:
+    """`_scatter_add` against `np.add.at`, the row scatter it replaces, bit for bit."""
+
+    @staticmethod
+    def assert_same_bits(table, rows, values):
+        expected = table.copy()
+        np.add.at(expected, rows, values)
+        actual = table.copy()
+        embeddings._scatter_add(actual, rows, values)
+        np.testing.assert_array_equal(actual.view(np.uint32), expected.view(np.uint32))
+
+    @pytest.mark.parametrize(
+        "count",
+        [
+            0,
+            100,
+            _SCATTER_BLOCK_ROWS,
+            3 * _SCATTER_BLOCK_ROWS,
+            2 * _SCATTER_BLOCK_ROWS + 123,
+        ],
+    )
+    def test_equals_row_scatter(self, count):
+        # Few rows and values spread over eight orders of magnitude, so every
+        # row is hit many times and the float32 sums depend on their order.
+        rng = np.random.default_rng(count)
+        table = rng.standard_normal((7, 5)).astype(np.float32)
+        rows = rng.integers(0, 7, size=count)
+        scale = 10.0 ** rng.uniform(-4, 4, size=(count, 1))
+        values = (rng.standard_normal((count, 5)) * scale).astype(np.float32)
+        self.assert_same_bits(table, rows, values)
+
+    def test_repeated_rows(self):
+        table = np.zeros((3, 4), dtype=np.float32)
+        rows = np.array([2, 0, 2, 2, 1, 0])
+        values = np.array(
+            [[1e8, 1.0, -1e8, 0.5]] * 3 + [[1.0, 1e-8, 3.0, -0.5]] * 3, dtype=np.float32
+        )
+        self.assert_same_bits(table, rows, values)
+
+    @pytest.mark.parametrize("chunk_pairs", [512, 2048])
+    def test_training_equals_row_scatter(self, monkeypatch, chunk_pairs):
+        params = small_params(chunk_pairs=chunk_pairs)
+        flat = train_sgns(topic_corpus(), params)
+        monkeypatch.setattr(embeddings, "_scatter_add", np.add.at)
+        rows = train_sgns(topic_corpus(), params)
+        np.testing.assert_array_equal(flat.vectors.view(np.uint32), rows.vectors.view(np.uint32))
 
 
 class TestAlign:
