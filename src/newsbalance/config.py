@@ -78,8 +78,8 @@ def _real(
 
 def _words(section: dict, key: str, default: tuple[str, ...]) -> tuple[str, ...]:
     value = section.get(key.rpartition(".")[2], default)
-    if not isinstance(value, (list, tuple)) or not all(isinstance(w, str) for w in value):
-        raise ConfigError(f"config key {key}: expected a list of words")
+    if not isinstance(value, (list, tuple)) or not value or not all(isinstance(w, str) for w in value):
+        raise ConfigError(f"config key {key}: expected a non-empty list of words")
     return tuple(value)
 
 
@@ -212,6 +212,13 @@ class RunConfig:
         weat_raw = _section(raw, "weat")
         weat_positive = _words(weat_raw, "weat.attributes_positive", ("good", "honest", "efficient", "superior"))
         weat_negative = _words(weat_raw, "weat.attributes_negative", ("bad", "dishonest", "inefficient", "inferior"))
+        # The rule `embeddings.AssociationSets` applies to the attribute sets.
+        shared = sorted(set(weat_positive) & set(weat_negative))
+        if shared:
+            raise ConfigError(
+                "config keys weat.attributes_positive and weat.attributes_negative must be disjoint, "
+                f"both hold {shared}"
+            )
 
         probe_raw = _section(raw, "probe")
         party_tokens = probe_raw.get("party_tokens", ["BJP", "Congress"])

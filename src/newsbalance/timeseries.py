@@ -1,9 +1,26 @@
 """Dynamic time warping distances and hierarchical agglomerative clustering.
 
 The DTW here is the classic unconstrained dynamic program with local cost
-|a_i - b_j| and steps (1,0), (0,1), (1,1). Clustering is implemented directly
-(rather than via a library) so that ties in the merge order can be broken
-lexicographically by leaf label, which makes dendrograms fully deterministic.
+|a_i - b_j| and steps (1,0), (0,1), (1,1): cell (i, j) holds
+|a_i - b_j| + min(D[i-1][j], D[i][j-1], D[i-1][j-1]). `dtw_distance` fills it
+by anti-diagonals (a wavefront): every cell on diagonal k = i + j reads only
+diagonals k-1 and k-2, so a whole diagonal is five numpy ufunc calls over
+contiguous slices instead of a Python loop over its cells. It is bitwise equal
+to the row-by-row program, which the tests keep as the oracle: each cell adds
+the same IEEE |a_i - b_j| to the same neighbour. `min` of non-NaN values
+returns one of its operands exactly, ties are between equal bits (no cell is
+-0.0), and the +inf cells around the grid make an edge cell's `min` return its
+one in-grid neighbour. Non-finite points are refused: with NaN, the row
+program's Python `min` depended on operand order.
+
+The kernel stays one call per pair of series rather than batching pairs:
+tracing wraps `timeseries.dtw_distance` by name and counts `len(a) * len(b)`
+cells per call, so `distance_matrix` calls it through the module-level name
+once per pair.
+
+Clustering is implemented directly (rather than via a library) so that ties in
+the merge order can be broken lexicographically by leaf label, which makes
+dendrograms fully deterministic.
 """
 
 from __future__ import annotations
@@ -13,6 +30,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .errors import ContractViolation
 
@@ -31,21 +50,41 @@ _LINKAGES = ("average", "single", "complete")
 
 
 def dtw_distance(a: Sequence[float], b: Sequence[float]) -> float:
-    """Minimum cumulative |a_i - b_j| cost over monotone boundary-aligned paths."""
-    n, m = len(a), len(b)
+    """Minimum cumulative |a_i - b_j| cost over monotone boundary-aligned paths.
+
+    Raises `ContractViolation` for an empty sequence or a non-finite point.
+    """
+    x = np.asarray(a, dtype=np.float64)
+    # b reversed, so that b[k - i] over a diagonal's i range is a forward slice
+    rb = np.asarray(b, dtype=np.float64)[::-1].copy()
+    n, m = len(x), len(rb)
     if n == 0 or m == 0:
         raise ContractViolation("dtw_distance requires non-empty sequences")
-    prev = [math.inf] * m
-    prev[0] = abs(a[0] - b[0])
-    for j in range(1, m):
-        prev[j] = prev[j - 1] + abs(a[0] - b[j])
-    for i in range(1, n):
-        cur = [math.inf] * m
-        cur[0] = prev[0] + abs(a[i] - b[0])
-        for j in range(1, m):
-            cur[j] = abs(a[i] - b[j]) + min(prev[j], cur[j - 1], prev[j - 1])
-        prev = cur
-    return prev[m - 1]
+    if not (np.isfinite(x).all() and np.isfinite(rb).all()):
+        raise ContractViolation("dtw_distance requires finite points")
+    # Three rolling buffers; slot i + 1 of diagonal k's holds cell (i, k - i).
+    # Cells outside the grid read +inf: slot 0 is never written, and the slot
+    # just past a diagonal's last cell, which the next two diagonals read
+    # while k < n, was written by none of the earlier diagonals (k - 3,
+    # k - 6, ...) that shared its buffer.
+    older = np.full(n + 1, np.inf)  # diagonal k - 2
+    last = np.full(n + 1, np.inf)  # diagonal k - 1
+    cur = np.full(n + 1, np.inf)
+    cost = np.empty(n)
+    best = np.empty(n)
+    # A difference or sum past the largest double is +inf, as in Python floats.
+    with np.errstate(over="ignore"):
+        last[1] = abs(x[0] - rb[m - 1])
+        for k in range(1, n + m - 1):
+            lo, hi = max(0, k - m + 1), min(n - 1, k)
+            c, d = cost[: hi - lo + 1], best[: hi - lo + 1]
+            np.subtract(x[lo : hi + 1], rb[m - 1 - k + lo : m - k + hi], out=c)
+            np.abs(c, out=c)
+            np.minimum(last[lo : hi + 1], last[lo + 1 : hi + 2], out=d)
+            np.minimum(d, older[lo : hi + 1], out=d)
+            np.add(c, d, out=cur[lo + 1 : hi + 2])
+            older, last, cur = last, cur, older
+    return float(last[n])
 
 
 def drop_missing(values: Sequence[float | None]) -> list[float]:

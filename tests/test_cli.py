@@ -128,6 +128,8 @@ class TestValidate:
             ("embedding", "subsample", -1),
             ("embedding", "min_count", 0),
             ("embedding", "anchor_count", 3),
+            ("weat", "attributes_positive", []),
+            ("weat", "attributes_negative", ["good", "bad"]),
         ],
     )
     def test_bad_value_is_a_config_error(self, tmp_path, synth_dir, capsys, section, key, value):

@@ -3,10 +3,13 @@ from __future__ import annotations
 import json
 import math
 import random
+import struct
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from newsbalance import timeseries
 from newsbalance.errors import ContractViolation
 from newsbalance.timeseries import (
     cluster,
@@ -45,7 +48,37 @@ def brute_force_dtw(a, b):
     return best[0]
 
 
+def reference_dtw(a, b):
+    """The row-by-row dynamic program `dtw_distance` replaced, kept as its
+    bitwise oracle: one Python float operation per cell."""
+    n, m = len(a), len(b)
+    prev = [math.inf] * m
+    prev[0] = abs(a[0] - b[0])
+    for j in range(1, m):
+        prev[j] = prev[j - 1] + abs(a[0] - b[j])
+    for i in range(1, n):
+        cur = [math.inf] * m
+        cur[0] = prev[0] + abs(a[i] - b[0])
+        for j in range(1, m):
+            cur[j] = abs(a[i] - b[j]) + min(prev[j], cur[j - 1], prev[j - 1])
+        prev = cur
+    return prev[m - 1]
+
+
+def assert_same_bits(got, want):
+    assert got == want
+    assert struct.pack("<d", got) == struct.pack("<d", want)
+
+
 grid_values = st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.0])
+# Finite floats over the whole double range (differences may overflow to
+# +inf), mixed with signed zeros and a few values that repeat.
+wide_values = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1e3, 1e3),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1, 1e-300, 1e300]),
+)
+wide_seq = st.lists(wide_values, min_size=1, max_size=40)
 short_seq = st.lists(grid_values, min_size=1, max_size=6)
 
 
@@ -90,6 +123,51 @@ class TestDtwDistance:
         a = [0, 0, 1, 0, 0]
         b = [0, 1, 0, 0, 0]
         assert dtw_distance(a, b) < sum(abs(x - y) for x, y in zip(a, b))
+
+
+class TestDtwKernelOracle:
+    """The wavefront kernel against the row-by-row program, bit for bit."""
+
+    @given(wide_seq, wide_seq)
+    @example([0.5], [0.25])
+    @example([-0.0], [0.0, -0.0, 3.0])
+    @example([1.0, -1.0, 1.0], [2.0])
+    @example([1e308, -1e308], [-1e308, 1e308, 0.0])
+    def test_bitwise_equal_to_row_program(self, a, b):
+        assert_same_bits(dtw_distance(a, b), reference_dtw(a, b))
+
+    def test_report_long_shape(self):
+        rng = np.random.default_rng(144)
+        a = rng.normal(size=138).tolist()
+        b = rng.normal(size=144).tolist()
+        assert_same_bits(dtw_distance(a, b), reference_dtw(a, b))
+        assert_same_bits(dtw_distance(b, a), reference_dtw(b, a))
+
+    def test_returns_python_float(self):
+        # distance_matrix.csv is written with repr(); np.float64 would print
+        # as "np.float64(...)"
+        assert type(dtw_distance([0.0, 1.0], [1.0])) is float
+        assert type(dtw_distance([2], [1])) is float
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point_rejected(self, bad):
+        with pytest.raises(ContractViolation, match="finite"):
+            dtw_distance([0.0, bad], [1.0])
+        with pytest.raises(ContractViolation, match="finite"):
+            dtw_distance([1.0], [bad, 0.0])
+
+    def test_distance_matrix_equals_oracle_matrix(self, monkeypatch):
+        rng = random.Random(17)
+        series = {
+            f"s{i}": [rng.gauss(0.0, 1.0) for _ in range(rng.randint(1, 30))] for i in range(7)
+        }
+        labels, matrix = distance_matrix(series)
+        monkeypatch.setattr(timeseries, "dtw_distance", reference_dtw)
+        oracle_labels, oracle_matrix = distance_matrix(series)
+        assert labels == oracle_labels
+        for row, oracle_row in zip(matrix, oracle_matrix):
+            for got, want in zip(row, oracle_row):
+                assert_same_bits(got, want)
 
 
 def cluster_series(series, linkage="average"):
