@@ -21,6 +21,7 @@ import json
 import logging
 import os
 import sys
+from collections import Counter
 from functools import cached_property
 from pathlib import Path
 from typing import Sequence
@@ -371,23 +372,24 @@ def cmd_geo(ctx: RunContext, out_base: Path) -> dict:
     articles = ctx.articles(directory)
 
     buckets: dict[tuple[str, int], list[Article]] = {}
-    outlets = set()
     for article in articles:
-        outlets.add(article.outlet)
         buckets.setdefault((article.outlet, article.published.year), []).append(article)
 
     payload: dict = {"totals": {}, "trends": {}}
     for level in ("city", "state"):
         rows = []
+        outlet_counts: dict[str, Counter] = {}
         for (outlet, year) in sorted(buckets):
-            dist = coverage_distribution(count_mentions(buckets[(outlet, year)], gazetteer, level, ctx.table))
+            counts = count_mentions(buckets[(outlet, year)], gazetteer, level, ctx.table)
+            # An outlet's totals are the sums of its yearly counts.
+            outlet_counts.setdefault(outlet, Counter()).update(counts)
+            dist = coverage_distribution(counts)
             for place in sorted(dist.counts):
                 rows.append((year, outlet, place, dist.counts[place], dist.shares[place]))
         write_coverage_csv(rows, directory / f"coverage_{level}.csv")
         totals = {}
-        for outlet in sorted(outlets):
-            outlet_articles = [a for a in articles if a.outlet == outlet]
-            dist = coverage_distribution(count_mentions(outlet_articles, gazetteer, level, ctx.table))
+        for outlet, counts in sorted(outlet_counts.items()):
+            dist = coverage_distribution(counts)
             totals[outlet] = {
                 place: {"count": dist.counts[place], "share": dist.shares[place]}
                 for place in sorted(dist.counts)
@@ -427,7 +429,6 @@ def cmd_probe(ctx: RunContext, out_base: Path) -> dict:
                 buckets[(outlet, year)],
                 order=cfg.probe.order,
                 smoothing=cfg.probe.smoothing,
-                backend_id=f"ngram-{outlet}-{year}",
                 table=ctx.table,
             )
             backends[year] = backend
@@ -575,9 +576,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         runner(RunContext(cfg), out_base)
         print(f"{args.command}: artifacts written under {out_base}")
         return 0
-    except (ConfigError, ContractViolation) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    except ContractViolation as exc:
+        # Config and data are checked before any operation sees them, so a
+        # broken operation contract is a bug in the program.
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     except (DataError, NewsbalanceError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2

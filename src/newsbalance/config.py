@@ -26,6 +26,26 @@ _LINKAGES = ("average", "single", "complete")
 _ALIGNMENTS = ("procrustes", "identity")
 
 
+# The keys each config section may hold. A misspelt key is an error, not a
+# silent default.
+_SECTION_KEYS = {
+    "date_range": ("start", "end"),
+    "clustering": ("linkage", "znormalize"),
+    "embedding": ("dim", "window", "negatives", "epochs", "min_count", "subsample", "anchor_count", "alignment"),
+    "weat": ("attributes_positive", "attributes_negative"),
+    "probe": ("order", "smoothing", "top_k", "max_rank", "party_tokens", "prompt"),
+    "analyzers": ("valence", "modifiers", "subjectivity"),
+    "gazetteer": ("cities", "states"),
+}
+_TOP_LEVEL_KEYS = ("corpora", "party_lexicons", "metrics", "output_dir", "seed", *_SECTION_KEYS)
+
+
+def _reject_unknown(section: dict, known: tuple[str, ...], prefix: str = "") -> None:
+    unknown = sorted(set(section) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown config key {prefix}{unknown[0]}; expected one of {sorted(known)}")
+
+
 def _section(raw: dict, key: str) -> dict:
     """A nested config object; absent or null means all defaults."""
     value = raw.get(key)
@@ -33,6 +53,7 @@ def _section(raw: dict, key: str) -> dict:
         return {}
     if not isinstance(value, dict):
         raise ConfigError(f"config key {key}: expected an object")
+    _reject_unknown(value, _SECTION_KEYS[key], f"{key}.")
     return value
 
 
@@ -145,6 +166,7 @@ class RunConfig:
     @classmethod
     def from_dict(cls, raw: dict, base_dir: str | Path = ".") -> "RunConfig":
         base_dir = Path(base_dir)
+        _reject_unknown(raw, _TOP_LEVEL_KEYS)
 
         def resolve(value: Any, key: str, must_exist: bool = True) -> Path | None:
             if value is None:

@@ -78,7 +78,11 @@ class Gazetteer:
 
     @classmethod
     def load(cls, cities_path: str | Path, states_path: str | Path) -> "Gazetteer":
-        return cls(cities=load_place_list(cities_path), states=load_place_list(states_path))
+        states = load_place_list(states_path)
+        # State homogeneity is a spread over places, which one place lacks.
+        if len(states) < 2:
+            raise ConfigError(f"{states_path}: the states list needs at least 2 places, got {len(states)}")
+        return cls(cities=load_place_list(cities_path), states=states)
 
     @classmethod
     def default(cls) -> "Gazetteer":

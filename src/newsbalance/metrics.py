@@ -133,7 +133,7 @@ class AnalyzerSuite:
             negative=sentiment.negative,
             subjectivity=sentence_subjectivity(unit.tokens, self.subjectivity),
             degree_hits=sum(1 for flag in tag_degree(unit.tokens) if flag != DEGREE_NONE),
-            speakers=tuple(sorted(detect_reported_speech(unit, self.lexicons, self.matcher))),
+            speakers=tuple(sorted(detect_reported_speech(unit.tokens, self.lexicons, self.matcher))),
         )
 
     @classmethod

@@ -14,9 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .corpus import Sentence, tokenize
 from .errors import ConfigError
 from .tagging import PartyLexicon, PhraseMatcher, build_matcher, expand_hyphens
 from ._data import data_path
@@ -228,30 +227,19 @@ def tag_degree(tokens: Sequence[str]) -> list[str]:
 
 
 def detect_reported_speech(
-    sentence: Sentence | str | Sequence[str],
+    tokens: Sequence[str],
     lexicons: Sequence[PartyLexicon],
     matcher: PhraseMatcher | None = None,
-    subject_parser: Callable[[Sequence[str]], set] | None = None,
 ) -> set[str]:
-    """Parties whose speech the sentence reports.
+    """Parties whose speech the sentence's tokens report.
 
     A party is attributed when one of its phrases occurs before a
     narrative-verb form (say/tell and inflections) with no other finite
     narrative verb between the phrase and that verb: a shallow stand-in for
-    subject detection that needs no parser. A real parser can be plugged in
-    through `subject_parser` (tokens -> party ids); its answer is still
-    intersected with the keyword matches.
+    subject detection that needs no parser.
     """
-    if isinstance(sentence, Sentence):
-        tokens: Sequence[str] = sentence.tokens
-    elif isinstance(sentence, str):
-        tokens = tokenize(sentence)
-    else:
-        tokens = sentence
     if matcher is None:
         matcher = build_matcher(lexicons)
-    if subject_parser is not None:
-        return set(subject_parser(tokens)) & matcher.match_tokens(tokens)
     expanded = expand_hyphens(tokens)
     lowered = [t.lower() for t in expanded]
     verb_positions = [i for i, t in enumerate(lowered) if t in _NARRATIVE_VERBS]

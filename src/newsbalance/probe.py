@@ -1,19 +1,18 @@
-"""Cloze-probe arithmetic over a pluggable single-mask language-model backend.
+"""Cloze-probe arithmetic over a single-mask n-gram language model.
 
-A backend answers one question: given a prompt containing exactly one mask
+The model answers one question: given a prompt containing exactly one mask
 slot, return a finite token -> probability map for the slot. The arithmetic
-on top (vote preference, normalized popularity, token-delta ranking) is
-backend-agnostic; a deterministic additively-smoothed n-gram backend is
-bundled so every probe runs fully offline, and a JSON wire format lets an
-external transformer service stand in without code changes.
+on top (vote preference, normalized popularity, token-delta ranking) reads
+only that map. The model is a deterministic, additively smoothed n-gram
+model of one corpus slice, kept as an array of token ids numbered in order
+of first occurrence, so every probe runs offline.
 """
 
 from __future__ import annotations
 
-import json
-import urllib.request
-from collections import Counter
-from typing import Iterable, Mapping, Protocol, Sequence, runtime_checkable
+from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .corpus import Article, tokenize
 from .errors import ContractViolation, DataError, UndefinedProbabilityError
@@ -22,44 +21,30 @@ from .tagging import TextTable
 __all__ = [
     "MASK",
     "VOTE_PROMPT",
-    "MaskBackend",
     "vote_preference",
     "popularity_probability",
     "popularity_pair",
     "token_delta_ranking",
     "NgramMaskBackend",
     "ngram_backend",
-    "request_to_json",
-    "response_to_json",
-    "response_from_json",
-    "RemoteMaskBackend",
 ]
 
 MASK = "<mask>"
 VOTE_PROMPT = "This election people will vote for <mask>."
 
-
-@runtime_checkable
-class MaskBackend(Protocol):
-    """Anything that fills a single mask slot with token probabilities."""
-
-    backend_id: str
-
-    def query(self, prompt: str, mask_token: str = MASK) -> dict:  # pragma: no cover
-        ...
+# Token ids in NgramMaskBackend: the end of each sentence, and a context
+# token the slice never holds, which no position matches.
+_END = -1
+_UNSEEN = -2
 
 
-def _ranked(distribution: Mapping[str, float]) -> tuple[tuple[str, float], ...]:
-    return tuple(sorted(distribution.items(), key=lambda kv: (-kv[1], kv[0])))
-
-
-def vote_preference(backend: MaskBackend, party_token: str, prompt: str = VOTE_PROMPT) -> float:
+def vote_preference(backend: NgramMaskBackend, party_token: str, prompt: str = VOTE_PROMPT) -> float:
     """Probability mass the backend puts on a party token at the mask slot."""
     return backend.query(prompt).get(party_token, 0.0)
 
 
 def popularity_probability(
-    backend: MaskBackend,
+    backend: NgramMaskBackend,
     party_b: str = "BJP",
     party_c: str = "Congress",
     prompt: str = VOTE_PROMPT,
@@ -75,7 +60,7 @@ def popularity_probability(
 
 
 def popularity_pair(
-    backend: MaskBackend,
+    backend: NgramMaskBackend,
     party_b: str = "BJP",
     party_c: str = "Congress",
     prompt: str = VOTE_PROMPT,
@@ -87,12 +72,13 @@ def popularity_pair(
 
 
 def _top_k(distribution: Mapping[str, float], k: int) -> list[str]:
-    return [token for token, _ in _ranked(distribution)[:k]]
+    ranked = sorted(distribution.items(), key=lambda kv: (-kv[1], kv[0]))
+    return [token for token, _ in ranked[:k]]
 
 
 def token_delta_ranking(
-    backend_early: MaskBackend,
-    backend_late: MaskBackend,
+    backend_early: NgramMaskBackend,
+    backend_late: NgramMaskBackend,
     prompt: str,
     k: int = 50,
     m: int = 15,
@@ -121,154 +107,83 @@ class NgramMaskBackend:
 
     The slot distribution conditions on up to order-1 tokens of left context;
     when right context exists its first token is chained on as well, so the
-    returned scores are joint-style weights that sum to at most 1. Everything
-    is counted once at construction and queries are pure lookups.
+    returned scores are joint-style weights that sum to at most 1. No n-gram
+    spans two sentences. A query counts only the contexts it reads.
     """
 
-    def __init__(self, order: int = 3, smoothing: float = 0.01, backend_id: str = "ngram"):
+    def __init__(self, sentences: Iterable[Sequence[str]], order: int = 3, smoothing: float = 0.01):
         if order < 2:
             raise ContractViolation(f"order must be >= 2, got {order}")
         if smoothing <= 0:
             raise ContractViolation(f"smoothing must be > 0, got {smoothing}")
         self.order = order
         self.smoothing = smoothing
-        self.backend_id = backend_id
-        self._ngrams: dict[tuple, Counter] = {}
-        self._vocab: Counter = Counter()
-
-    @classmethod
-    def from_sentences(
-        cls,
-        sentences: Iterable[Sequence[str]],
-        order: int = 3,
-        smoothing: float = 0.01,
-        backend_id: str = "ngram",
-    ) -> "NgramMaskBackend":
-        model = cls(order=order, smoothing=smoothing, backend_id=backend_id)
-        empty = True
+        index: dict[str, int] = {}
+        ids: list[int] = []
         for sentence in sentences:
-            if sentence:
-                empty = False
-            model._count(list(sentence))
-        if empty or not model._vocab:
+            ids.extend(index.setdefault(token, len(index)) for token in sentence)
+            ids.append(_END)
+        if not index:
             raise DataError("n-gram backend needs a non-empty corpus")
-        return model
+        self._index = index
+        self._tokens = list(index)
+        self._ids = np.array(ids, dtype=np.int64)
 
-    def _count(self, tokens: list[str]) -> None:
-        self._vocab.update(tokens)
-        for length in range(1, self.order):
-            for i in range(len(tokens) - length):
-                context = tuple(tokens[i : i + length])
-                bucket = self._ngrams.get(context)
-                if bucket is None:
-                    bucket = self._ngrams[context] = Counter()
-                bucket[tokens[i + length]] += 1
+    def _following(self, context: Sequence[str], width: int) -> list[np.ndarray]:
+        """Per position after `context`, the ids found there at each in-sentence match."""
+        ids, start = self._ids, len(context)
+        n = max(len(ids) - start - width + 1, 0)
+        hit = np.ones(n, dtype=bool)
+        for j, token in enumerate(context):
+            hit &= ids[j : j + n] == self._index.get(token, _UNSEEN)
+        for j in range(start, start + width):
+            hit &= ids[j : j + n] != _END
+        return [ids[j : j + n][hit] for j in range(start, start + width)]
 
-    def _conditional(self, context: tuple, token: str) -> float:
-        bucket = self._ngrams.get(context, None)
-        count = bucket[token] if bucket is not None else 0
-        total = sum(bucket.values()) if bucket is not None else 0
-        vocab_size = len(self._vocab)
-        return (count + self.smoothing) / (total + self.smoothing * vocab_size)
+    def _conditional(self, counts: np.ndarray, totals: int | np.ndarray) -> np.ndarray:
+        return (counts + self.smoothing) / (totals + self.smoothing * len(self._tokens))
 
     def query(self, prompt: str, mask_token: str = MASK) -> dict:
         parts = prompt.split(mask_token)
         if len(parts) != 2:
-            raise ContractViolation(
-                f"prompt must contain exactly one {mask_token!r} slot: {prompt!r}"
-            )
+            raise ContractViolation(f"prompt must contain exactly one {mask_token!r} slot: {prompt!r}")
         left = tokenize(parts[0])
         right = tokenize(parts[1])
+        vocab_size = len(self._tokens)
         left_context = tuple(left[-(self.order - 1) :])
-        scores: dict[str, float] = {}
-        for token in self._vocab:
-            score = self._conditional(left_context, token)
-            if right:
-                chained = (left_context + (token,))[-(self.order - 1) :]
-                score *= self._conditional(chained, right[0])
-            scores[token] = score
-        return scores
+        # An empty left context is never counted, so its factor is 1/V.
+        slot = self._following(left_context, 1)[0] if left_context else self._ids[:0]
+        counts = np.bincount(slot, minlength=vocab_size)
+        scores = self._conditional(counts, int(counts.sum()))
+        if right:
+            # Slot token t and the kept left tokens are the first right token's context.
+            kept = left_context[1:] if len(left_context) == self.order - 1 else left_context
+            slot, after = self._following(kept, 2)
+            hits = slot[after == self._index.get(right[0], _UNSEEN)]
+            scores *= self._conditional(
+                np.bincount(hits, minlength=vocab_size), np.bincount(slot, minlength=vocab_size)
+            )
+        return dict(zip(self._tokens, scores.tolist()))
 
 
 def ngram_backend(
     articles: Iterable[Article],
     order: int = 3,
     smoothing: float = 0.01,
-    backend_id: str = "ngram",
     table: TextTable | None = None,
 ) -> NgramMaskBackend:
-    """Build the bundled backend from a corpus slice (headlines plus content).
+    """Build the backend from a corpus slice (headlines plus content).
 
     `table` supplies each article's units; without one, they are made here.
     """
     if table is None:
         table = TextTable()
 
-    def sentences() -> Iterable[list[str]]:
+    def sentences() -> Iterable[Sequence[str]]:
         for article in articles:
             head, content = table.units(article)
-            if head.tokens:
-                yield list(head.tokens)
+            yield head.tokens
             for sentence in content:
-                yield list(sentence.tokens)
+                yield sentence.tokens
 
-    return NgramMaskBackend.from_sentences(
-        sentences(), order=order, smoothing=smoothing, backend_id=backend_id
-    )
-
-
-def request_to_json(prompt: str, mask_token: str = MASK) -> dict:
-    """The documented request shape for external backends."""
-    return {"prompt": prompt, "mask_token": mask_token}
-
-
-def response_to_json(distribution: Mapping[str, float]) -> dict:
-    """The documented response shape: tokens ranked by probability."""
-    return {"tokens": [[token, prob] for token, prob in _ranked(distribution)]}
-
-
-def response_from_json(payload: Mapping) -> dict:
-    """Parse and validate a response payload into a token -> probability map."""
-    tokens = payload.get("tokens")
-    if not isinstance(tokens, list):
-        raise DataError("backend response must carry a 'tokens' list")
-    distribution: dict[str, float] = {}
-    for entry in tokens:
-        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-            raise DataError(f"malformed token entry: {entry!r}")
-        token, prob = entry
-        if (
-            not isinstance(token, str)
-            or isinstance(prob, bool)
-            or not isinstance(prob, (int, float))
-            or not prob >= 0  # also rejects NaN
-        ):
-            raise DataError(f"malformed token entry: {entry!r}")
-        if token in distribution:
-            raise DataError(f"duplicate token in backend response: {token!r}")
-        distribution[token] = float(prob)
-    total = sum(distribution.values())
-    if total > 1.0 + 1e-6:
-        raise DataError(f"token probabilities sum to {total}, above 1")
-    return distribution
-
-
-class RemoteMaskBackend:
-    """Backend that forwards queries to an external service over the JSON shape."""
-
-    def __init__(self, url: str, backend_id: str = "remote", timeout: float = 30.0):
-        self.url = url
-        self.backend_id = backend_id
-        self.timeout = timeout
-
-    def query(self, prompt: str, mask_token: str = MASK) -> dict:
-        body = json.dumps(request_to_json(prompt, mask_token)).encode("utf-8")
-        request = urllib.request.Request(
-            self.url, data=body, headers={"Content-Type": "application/json"}
-        )
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                payload = json.loads(response.read().decode("utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise DataError(f"mask backend request to {self.url} failed: {exc}") from exc
-        return response_from_json(payload)
+    return NgramMaskBackend(sentences(), order=order, smoothing=smoothing)

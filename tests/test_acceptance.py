@@ -297,7 +297,6 @@ def test_criterion_09_probe_arithmetic():
     class Fixed:
         def __init__(self, dist):
             self.dist = dist
-            self.backend_id = "fixed"
 
         def query(self, prompt, mask_token="<mask>"):
             return dict(self.dist)

@@ -12,11 +12,11 @@ from pathlib import Path
 
 import pytest
 
-from newsbalance import corpus, metrics, nlp, tagging, timeseries
+from newsbalance import corpus, geo, metrics, nlp, tagging, timeseries
 from newsbalance.cli import main
 from newsbalance.config import RunConfig
 from newsbalance.corpus import article_sentences, load_corpus, write_corpus
-from newsbalance.errors import ConfigError
+from newsbalance.errors import ConfigError, ContractViolation
 from newsbalance.metrics import compute_all_series
 from newsbalance.tagging import build_matcher, default_party_lexicons
 from newsbalance.timeseries import cluster, distance_matrix, drop_missing, z_normalize
@@ -96,6 +96,13 @@ class TestValidate:
         with pytest.raises(ConfigError, match="metrics"):
             RunConfig.from_file(config)
 
+    def test_one_place_states_list_rejected(self, tmp_path, synth_dir, capsys):
+        states = tmp_path / "states.txt"
+        states.write_text("Kerala\n", encoding="utf-8")
+        config = self._rewritten_config(synth_dir, tmp_path, gazetteer={"cities": None, "states": str(states)})
+        assert main(["validate", "--config", str(config)]) == 1
+        assert "states list needs at least 2 places" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "section, key, value",
         [
@@ -130,6 +137,10 @@ class TestValidate:
             ("embedding", "anchor_count", 3),
             ("weat", "attributes_positive", []),
             ("weat", "attributes_negative", ["good", "bad"]),
+            ("embedding", "dimension", 50),
+            ("probe", "smothing", 0.5),
+            ("date_range", "begin", "2010-01-01"),
+            (None, "clusterng", {"linkage": "single"}),
         ],
     )
     def test_bad_value_is_a_config_error(self, tmp_path, synth_dir, capsys, section, key, value):
@@ -368,6 +379,24 @@ def test_traced_report_calls_every_layer(two_year_dir, tmp_path):
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
     assert tracer.summarize([spans])["missing"] == []
+
+
+def test_contract_violation_is_an_internal_error(synth_dir, tmp_path, monkeypatch, capsys):
+    def broken(shares):
+        raise ContractViolation("broken contract")
+
+    monkeypatch.setattr(geo, "homogeneity_inverse_std", broken)
+    assert main(["geo", "--config", str(synth_dir / "config.json"), "--out", str(tmp_path / "out")]) == 3
+    assert "internal error: broken contract" in capsys.readouterr().err
+
+
+def test_importing_the_cli_loads_no_network_client():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")]))
+    code = "import sys, newsbalance.cli; print([m for m in ('urllib.request', 'http.client') if m in sys.modules])"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 class TestSynth:

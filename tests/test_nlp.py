@@ -158,27 +158,27 @@ class TestTagDegree:
 
 class TestReportedSpeech:
     def test_canonical_pattern(self, lexicons):
-        assert detect_reported_speech("BJP said the bill will pass", lexicons) == {"bjp"}
+        assert detect_reported_speech(tokenize("BJP said the bill will pass"), lexicons) == {"bjp"}
 
     def test_keyword_after_verb_not_attributed(self, lexicons):
         sentence = "The minister told reporters that Congress objected"
-        assert detect_reported_speech(sentence, lexicons) == set()
+        assert detect_reported_speech(tokenize(sentence), lexicons) == set()
 
     def test_both_parties_before_verb(self, lexicons):
         sentence = "BJP and Congress said the talks failed"
-        assert detect_reported_speech(sentence, lexicons) == {"bjp", "congress"}
+        assert detect_reported_speech(tokenize(sentence), lexicons) == {"bjp", "congress"}
 
     def test_intervening_finite_verb_blocks(self, lexicons):
         sentence = "BJP said officials told reporters about Congress"
-        assert detect_reported_speech(sentence, lexicons) == {"bjp"}
+        assert detect_reported_speech(tokenize(sentence), lexicons) == {"bjp"}
 
     def test_no_narrative_verb(self, lexicons):
-        assert detect_reported_speech("BJP campaigned across the state", lexicons) == set()
+        assert detect_reported_speech(tokenize("BJP campaigned across the state"), lexicons) == set()
 
     def test_nonfinite_form_does_not_block(self, lexicons):
         # "saying" anchors an attribution but must not block the earlier phrase
         sentence = "Congress kept saying the deal was dead"
-        assert detect_reported_speech(sentence, lexicons) == {"congress"}
+        assert detect_reported_speech(tokenize(sentence), lexicons) == {"congress"}
 
     @pytest.mark.parametrize(
         "sentence",
@@ -190,13 +190,5 @@ class TestReportedSpeech:
         ],
     )
     def test_attribution_implies_mention(self, lexicons, sentence):
-        attributed = detect_reported_speech(sentence, lexicons)
+        attributed = detect_reported_speech(tokenize(sentence), lexicons)
         assert attributed <= build_matcher(lexicons).match_tokens(tokenize(sentence))
-
-    def test_pluggable_parser_slot(self, lexicons):
-        everything = lambda tokens: {"bjp", "congress"}
-        found = detect_reported_speech(
-            "Only BJP appears here", lexicons, subject_parser=everything
-        )
-        # the parser's answer is still gated on keyword presence
-        assert found == {"bjp"}

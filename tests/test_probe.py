@@ -1,34 +1,29 @@
 from __future__ import annotations
 
-import http.server
-import json
-import threading
+import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from newsbalance.errors import ContractViolation, DataError, UndefinedProbabilityError
 from newsbalance.probe import (
     MASK,
     VOTE_PROMPT,
     NgramMaskBackend,
-    RemoteMaskBackend,
     ngram_backend,
     popularity_pair,
     popularity_probability,
-    request_to_json,
-    response_from_json,
-    response_to_json,
     token_delta_ranking,
     vote_preference,
 )
 
 from conftest import make_article
+from oracles import CounterNgramMaskBackend
 
 
 class StubBackend:
-    def __init__(self, distribution, backend_id="stub"):
+    def __init__(self, distribution):
         self.distribution = dict(distribution)
-        self.backend_id = backend_id
 
     def query(self, prompt, mask_token=MASK):
         return dict(self.distribution)
@@ -113,6 +108,14 @@ class TestTokenDeltaRanking:
         assert {t for t, _ in rising} <= {"a", "b"}
         assert {t for t, _ in falling} <= {"a", "b"}
 
+    def test_top_k_ties_break_by_token(self):
+        # a and b tie in both backends; top-2 keeps c and the smaller token, a
+        early = StubBackend({"c": 0.6, "b": 0.2, "a": 0.2})
+        late = StubBackend({"c": 0.6, "b": 0.3, "a": 0.3})
+        rising, falling = token_delta_ranking(early, late, "x <mask>", k=2)
+        assert [t for t, _ in rising] == ["a"]
+        assert falling == []
+
 
 def vote_articles(b_count, c_count):
     articles = []
@@ -164,7 +167,9 @@ class TestNgramBackend:
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(DataError):
-            NgramMaskBackend.from_sentences([])
+            NgramMaskBackend([])
+        with pytest.raises(DataError):
+            NgramMaskBackend([[], []])
 
     def test_multiple_masks_rejected(self):
         backend = ngram_backend(vote_articles(2, 2))
@@ -173,75 +178,48 @@ class TestNgramBackend:
 
     def test_bad_params_rejected(self):
         with pytest.raises(ContractViolation):
-            NgramMaskBackend(order=1)
+            NgramMaskBackend([["a"]], order=1)
         with pytest.raises(ContractViolation):
-            NgramMaskBackend(smoothing=0.0)
+            NgramMaskBackend([["a"]], smoothing=0.0)
 
 
-class TestResponseRanking:
-    def test_ranked_descending_ties_by_token(self):
-        backend = StubBackend({"b": 0.2, "a": 0.2, "c": 0.6})
-        payload = response_to_json(backend.query("x <mask>"))
-        assert payload["tokens"] == [["c", 0.6], ["a", 0.2], ["b", 0.2]]
+def assert_same_scores(sentences, order, smoothing, prompt):
+    """The backend's scores equal the Counter-table oracle's bit for bit, in its key order."""
+    fast = NgramMaskBackend(sentences, order=order, smoothing=smoothing).query(prompt)
+    slow = CounterNgramMaskBackend(sentences, order=order, smoothing=smoothing).query(prompt)
+    assert list(fast) == list(slow)
+    assert all(type(v) is float for v in fast.values())
+    assert [struct.pack("<d", v) for v in fast.values()] == [struct.pack("<d", v) for v in slow.values()]
 
 
-class TestWireFormat:
-    def test_request_shape(self):
-        assert request_to_json("a <mask> b") == {"prompt": "a <mask> b", "mask_token": "<mask>"}
+WORDS = ["a", "b", "c", "vote", "BJP"]
+CORPUS = [["vote", "for", "BJP", "now"], [], ["vote", "for", "Congress", "now"], ["for", "BJP"], []]
 
-    def test_response_round_trip(self):
-        distribution = {"x": 0.25, "y": 0.5}
-        payload = response_to_json(distribution)
-        assert payload["tokens"][0] == ["y", 0.5]
-        assert response_from_json(payload) == distribution
 
-    def test_response_validation(self):
-        with pytest.raises(DataError):
-            response_from_json({"tokens": [["x"]]})
-        with pytest.raises(DataError):
-            response_from_json({"nope": []})
-        with pytest.raises(DataError):
-            response_from_json({"tokens": [["x", -0.5]]})
-        with pytest.raises(DataError):
-            response_from_json({"tokens": [["x", 0.8], ["y", 0.7]]})
-        # non-numeric probabilities, a non-string token, and a token listed twice
-        for tokens in (
-            [["x", "x"]],
-            [["x", None]],
-            [["x", True]],
-            [["x", float("nan")]],
-            [[7, 0.5]],
-            [["x", 0.2], ["x", 0.3]],
-        ):
-            with pytest.raises(DataError):
-                response_from_json({"tokens": tokens})
+class TestCountingOracle:
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    @pytest.mark.parametrize(
+        "prompt",
+        [
+            "<mask> now",  # empty left context: the left factor is 1/V
+            "zebra for <mask> now",  # a context token out of the vocabulary
+            "vote zebra <mask>",  # the out-of-vocabulary token is the last one
+            "vote for <mask> zebra",  # a right-context token never seen
+            "vote for <mask>",  # no right context
+            "<mask>",  # neither context
+            "people will vote for <mask> now and then",  # more left context than order - 1
+        ],
+    )
+    def test_edge_cases(self, order, prompt):
+        assert_same_scores(CORPUS, order, 0.01, prompt)
 
-    def test_remote_backend_round_trip(self):
-        """Serve the documented JSON shape from a local stub and query it."""
-        received = {}
-
-        class Handler(http.server.BaseHTTPRequestHandler):
-            def do_POST(self):
-                length = int(self.headers["Content-Length"])
-                received.update(json.loads(self.rfile.read(length)))
-                body = json.dumps(response_to_json({"BJP": 0.6, "Congress": 0.2})).encode()
-                self.send_response(200)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def log_message(self, *args):
-                pass
-
-        server = http.server.HTTPServer(("127.0.0.1", 0), Handler)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            url = f"http://127.0.0.1:{server.server_port}/"
-            backend = RemoteMaskBackend(url)
-            assert popularity_probability(backend) == pytest.approx(0.75)
-            assert received == {"prompt": VOTE_PROMPT, "mask_token": MASK}
-        finally:
-            server.shutdown()
-            thread.join(timeout=5)
+    @settings(max_examples=300, deadline=None)
+    @given(
+        sentences=st.lists(st.lists(st.sampled_from(WORDS), max_size=8), min_size=1, max_size=6).filter(any),
+        order=st.sampled_from([2, 3, 4]),
+        smoothing=st.sampled_from([0.01, 0.5, 1.0, 3.0]),
+        left=st.lists(st.sampled_from(WORDS + ["zebra"]), max_size=4),
+        right=st.lists(st.sampled_from(WORDS + ["zebra"]), max_size=2),
+    )
+    def test_random_slices_and_prompts(self, sentences, order, smoothing, left, right):
+        assert_same_scores(sentences, order, smoothing, " ".join([*left, MASK, *right]))
