@@ -72,17 +72,18 @@ OUTPUT_DIR_ENV = "NEWSBALANCE_OUT"
 # ---------------------------------------------------------------- loading
 
 def _load_lexicons(cfg: RunConfig):
-    if cfg.party_lexicons_path is not None:
-        return load_party_lexicons(cfg.party_lexicons_path)
+    if cfg.party_lexicons is not None:
+        return load_party_lexicons(cfg.party_lexicons)
     return default_party_lexicons()
 
 
 def _load_suite(cfg: RunConfig, lexicons) -> AnalyzerSuite:
-    valence_path = cfg.valence_path or data_path("valence_lexicon.tsv")
-    modifiers_path = cfg.modifiers_path or data_path("valence_modifiers.tsv")
+    paths = cfg.analyzers
+    valence_path = paths.valence or data_path("valence_lexicon.tsv")
+    modifiers_path = paths.modifiers or data_path("valence_modifiers.tsv")
     subjectivity = (
-        load_subjectivity_lexicon(cfg.subjectivity_path)
-        if cfg.subjectivity_path is not None
+        load_subjectivity_lexicon(paths.subjectivity)
+        if paths.subjectivity is not None
         else default_subjectivity_lexicon()
     )
     return AnalyzerSuite(
@@ -93,8 +94,8 @@ def _load_suite(cfg: RunConfig, lexicons) -> AnalyzerSuite:
 
 
 def _load_gazetteer(cfg: RunConfig) -> Gazetteer:
-    cities = cfg.cities_path or data_path("india_cities.txt")
-    states = cfg.states_path or data_path("india_states.txt")
+    cities = cfg.gazetteer.cities or data_path("india_cities.txt")
+    states = cfg.gazetteer.states or data_path("india_states.txt")
     return Gazetteer.load(cities, states)
 
 
@@ -135,6 +136,7 @@ class RunContext:
     @cached_property
     def _corpora(self) -> tuple[list[Article], dict[str, list[SkipRecord]]]:
         cfg = self.cfg
+        dates = cfg.date_range
         articles: list[Article] = []
         skips: dict[str, list[SkipRecord]] = {}
         for outlet in sorted(cfg.corpora):
@@ -143,7 +145,7 @@ class RunContext:
                 logger.warning("%s: skipped %d malformed records", cfg.corpora[outlet], len(skipped))
                 skips[outlet] = skipped
             articles.extend(
-                a for a in loaded if cfg.date_start <= a.published <= cfg.date_end
+                a for a in loaded if dates.start <= a.published <= dates.end
             )
         return articles, skips
 
@@ -188,7 +190,7 @@ def cmd_validate(cfg: RunConfig) -> dict:
     _load_gazetteer(cfg)
     return {
         "outlets": sorted(cfg.corpora),
-        "date_range": [cfg.date_start.isoformat(), cfg.date_end.isoformat()],
+        "date_range": [cfg.date_range.start.isoformat(), cfg.date_range.end.isoformat()],
         "metrics": [m.value for m in cfg.metrics],
         "parties": [lex.party_id for lex in lexicons],
         "seed": cfg.seed,
@@ -227,7 +229,7 @@ def cmd_metrics(ctx: RunContext, out_base: Path) -> dict:
 def cmd_cluster(ctx: RunContext, out_base: Path) -> dict:
     """One DTW matrix over every non-empty (outlet, metric) series, and the
     overall, per-metric and per-outlet dendrograms cut from it."""
-    cfg = ctx.cfg
+    clustering = ctx.cfg.clustering
     directory = _command_dir(out_base, "cluster")
     ctx.articles(directory)
 
@@ -237,7 +239,7 @@ def cmd_cluster(ctx: RunContext, out_base: Path) -> dict:
         for outlet, series in by_outlet.items():
             values = drop_missing(series.values())
             if values:
-                cleaned[(outlet, metric_name)] = z_normalize(values) if cfg.znormalize else values
+                cleaned[(outlet, metric_name)] = z_normalize(values) if clustering.znormalize else values
             else:
                 skipped.append(f"{outlet}/{metric_name}")
     if len(cleaned) < 2:
@@ -245,7 +247,7 @@ def cmd_cluster(ctx: RunContext, out_base: Path) -> dict:
     labels, matrix = distance_matrix({f"{outlet}/{m}": values for (outlet, m), values in cleaned.items()})
     write_distance_csv(labels, matrix, directory / "distance_matrix.csv")
     payload: dict = {
-        "linkage": cfg.linkage,
+        "linkage": clustering.linkage,
         "skipped": sorted(skipped),
         "labels": labels,
         "distance_matrix": matrix,
@@ -269,12 +271,12 @@ def cmd_cluster(ctx: RunContext, out_base: Path) -> dict:
             continue
         names = sorted(leaves)
         rows = [row[leaves[name]] for name in names]
-        dendro = cluster(names, [[matrix[i][j] for j in rows] for i in rows], cfg.linkage)
+        dendro = cluster(names, [[matrix[i][j] for j in rows] for i in rows], clustering.linkage)
         target[key] = dendro.root.to_dict()
         (directory / f"dendrogram_{stem}.newick").write_text(dendro.to_newick() + "\n", encoding="utf-8")
 
     _write_json(payload, directory / "cluster.json")
-    _write_json(_provenance(cfg, "cluster"), directory / "provenance.json")
+    _write_json(_provenance(ctx.cfg, "cluster"), directory / "provenance.json")
     return payload
 
 
@@ -305,7 +307,7 @@ def cmd_weat(ctx: RunContext, out_base: Path) -> dict:
     lexicons = ctx.lexicons
     articles = ctx.articles(directory)
     s1, s2 = _party_token_sets(lexicons)
-    sets = AssociationSets(s1=s1, s2=s2, a1=cfg.weat_positive, a2=cfg.weat_negative)
+    sets = AssociationSets(s1=s1, s2=s2, a1=cfg.weat.attributes_positive, a2=cfg.weat.attributes_negative)
 
     buckets: dict[tuple[str, int], list[Article]] = {}
     for article in articles:
@@ -376,11 +378,14 @@ def cmd_geo(ctx: RunContext, out_base: Path) -> dict:
         buckets.setdefault((article.outlet, article.published.year), []).append(article)
 
     payload: dict = {"totals": {}, "trends": {}}
+    yearly: dict[str, dict] = {}  # level -> {(outlet, year): place counts}
     for level in ("city", "state"):
         rows = []
         outlet_counts: dict[str, Counter] = {}
+        yearly[level] = {}
         for (outlet, year) in sorted(buckets):
             counts = count_mentions(buckets[(outlet, year)], gazetteer, level, ctx.table)
+            yearly[level][(outlet, year)] = counts
             # An outlet's totals are the sums of its yearly counts.
             outlet_counts.setdefault(outlet, Counter()).update(counts)
             dist = coverage_distribution(counts)
@@ -396,7 +401,7 @@ def cmd_geo(ctx: RunContext, out_base: Path) -> dict:
             }
         payload["totals"][level] = totals
 
-    trends = yearly_geo_trends(articles, gazetteer, level="state", table=ctx.table)
+    trends = yearly_geo_trends(yearly["state"])
     write_trends_csv(trends, directory / "trends_state.csv")
     payload["trends"] = {
         outlet: [[t.year, t.inverse_std, t.bottom20, t.bottom50] for t in rows]
@@ -422,7 +427,7 @@ def cmd_probe(ctx: RunContext, out_base: Path) -> dict:
     csv_rows = [f"outlet,year,p_{party_b},p_{party_c}"]
     for outlet in outlets:
         years = sorted(year for o, year in buckets if o == outlet)
-        backends = {}
+        slots = {}  # year -> the slice's distribution at the prompt's mask slot
         popularity = []
         for year in years:
             backend = ngram_backend(
@@ -431,9 +436,9 @@ def cmd_probe(ctx: RunContext, out_base: Path) -> dict:
                 smoothing=cfg.probe.smoothing,
                 table=ctx.table,
             )
-            backends[year] = backend
+            slots[year] = backend.query(cfg.probe.prompt)
             try:
-                p_b, p_c = popularity_pair(backend, party_b, party_c, cfg.probe.prompt)
+                p_b, p_c = popularity_pair(slots[year], party_b, party_c)
             except UndefinedProbabilityError:
                 p_b = p_c = None
             popularity.append([year, p_b, p_c])
@@ -444,11 +449,7 @@ def cmd_probe(ctx: RunContext, out_base: Path) -> dict:
         falling: list = []
         if len(years) >= 2:
             rising, falling = token_delta_ranking(
-                backends[years[0]],
-                backends[years[-1]],
-                cfg.probe.prompt,
-                k=cfg.probe.top_k,
-                m=cfg.probe.max_rank,
+                slots[years[0]], slots[years[-1]], k=cfg.probe.top_k, m=cfg.probe.max_rank
             )
         payload[outlet] = {
             "popularity": popularity,
@@ -539,11 +540,7 @@ def _run_synth(args: argparse.Namespace) -> int:
     articles = generate_corpus(spec)
     paths = write_outlet_files(articles, out / "corpus")
     relative = {outlet: str(Path("corpus") / path.name) for outlet, path in paths.items()}
-    config = default_config(relative, output_dir="out", seed=args.seed)
-    config["date_range"] = {
-        "start": f"{spec.start_year}-01-01",
-        "end": f"{spec.start_year + (spec.months - 1) // 12}-12-31",
-    }
+    config = default_config(relative, spec)
     config_path = out / "config.json"
     config_path.write_text(json.dumps(config, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {len(articles)} articles for {len(paths)} outlets; config at {config_path}")

@@ -187,21 +187,13 @@ class YearHomogeneity:
 
 
 def yearly_geo_trends(
-    articles: Sequence[Article],
-    gazetteer: Gazetteer,
-    level: str = STATE,
-    table: TextTable | None = None,
+    counts: Mapping[tuple[str, int], Mapping[str, int]],
 ) -> dict[str, list[YearHomogeneity]]:
-    """Per-outlet, per-year homogeneity triples; years with no articles are omitted.
-
-    `table` keeps each article's place sets, as in `count_mentions`.
-    """
-    buckets: dict[tuple[str, int], list[Article]] = {}
-    for article in articles:
-        buckets.setdefault((article.outlet, article.published.year), []).append(article)
+    """Per-outlet, per-year homogeneity triples from per-(outlet, year) place
+    counts, as `count_mentions` gives them; years without counts are omitted."""
     trends: dict[str, list[YearHomogeneity]] = {}
-    for outlet, year in sorted(buckets):
-        dist = coverage_distribution(count_mentions(buckets[(outlet, year)], gazetteer, level, table))
+    for outlet, year in sorted(counts):
+        dist = coverage_distribution(counts[(outlet, year)])
         share_values = [dist.shares[p] for p in sorted(dist.shares)]
         trends.setdefault(outlet, []).append(
             YearHomogeneity(

@@ -2,10 +2,10 @@
 
 The model answers one question: given a prompt containing exactly one mask
 slot, return a finite token -> probability map for the slot. The arithmetic
-on top (vote preference, normalized popularity, token-delta ranking) reads
-only that map. The model is a deterministic, additively smoothed n-gram
-model of one corpus slice, kept as an array of token ids numbered in order
-of first occurrence, so every probe runs offline.
+on top (normalized popularity, token-delta ranking) reads only that map, so
+a slice is asked each prompt once. The model is a deterministic, additively
+smoothed n-gram model of one corpus slice, kept as an array of token ids
+numbered in order of first occurrence, so every probe runs offline.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ from .tagging import TextTable
 __all__ = [
     "MASK",
     "VOTE_PROMPT",
-    "vote_preference",
-    "popularity_probability",
     "popularity_pair",
     "token_delta_ranking",
     "NgramMaskBackend",
@@ -38,36 +36,19 @@ _END = -1
 _UNSEEN = -2
 
 
-def vote_preference(backend: NgramMaskBackend, party_token: str, prompt: str = VOTE_PROMPT) -> float:
-    """Probability mass the backend puts on a party token at the mask slot."""
-    return backend.query(prompt).get(party_token, 0.0)
-
-
-def popularity_probability(
-    backend: NgramMaskBackend,
-    party_b: str = "BJP",
-    party_c: str = "Congress",
-    prompt: str = VOTE_PROMPT,
-) -> float:
-    """Vote preference for the first party normalized over both parties."""
-    v_b = vote_preference(backend, party_b, prompt)
-    v_c = vote_preference(backend, party_c, prompt)
+def popularity_pair(
+    distribution: Mapping[str, float], party_b: str = "BJP", party_c: str = "Congress"
+) -> tuple[float, float]:
+    """Each party's vote preference (its mass at the mask slot) normalized over
+    both parties; the second is defined as 1 - the first, so the pair sums to
+    1 exactly."""
+    v_b = distribution.get(party_b, 0.0)
+    v_c = distribution.get(party_c, 0.0)
     if v_b + v_c == 0:
         raise UndefinedProbabilityError(
             f"both parties have zero mass at the mask slot ({party_b!r}, {party_c!r})"
         )
-    return v_b / (v_b + v_c)
-
-
-def popularity_pair(
-    backend: NgramMaskBackend,
-    party_b: str = "BJP",
-    party_c: str = "Congress",
-    prompt: str = VOTE_PROMPT,
-) -> tuple[float, float]:
-    """Both parties' normalized shares; the second is defined as 1 - the first,
-    so the pair sums to 1 exactly."""
-    p_b = popularity_probability(backend, party_b, party_c, prompt)
+    p_b = v_b / (v_b + v_c)
     return p_b, 1.0 - p_b
 
 
@@ -77,20 +58,17 @@ def _top_k(distribution: Mapping[str, float], k: int) -> list[str]:
 
 
 def token_delta_ranking(
-    backend_early: NgramMaskBackend,
-    backend_late: NgramMaskBackend,
-    prompt: str,
+    early: Mapping[str, float],
+    late: Mapping[str, float],
     k: int = 50,
     m: int = 15,
 ) -> tuple[list[tuple[str, float]], list[tuple[str, float]]]:
-    """Rising and falling completions between two backends.
+    """Rising and falling completions between two slot distributions of one prompt.
 
-    Takes the union of each backend's top-k tokens, ranks them by probability
-    change (late minus early), and returns up to m strictly rising and m
-    strictly falling tokens with their deltas.
+    Takes the union of each distribution's top-k tokens, ranks them by
+    probability change (late minus early), and returns up to m strictly
+    rising and m strictly falling tokens with their deltas.
     """
-    early = backend_early.query(prompt)
-    late = backend_late.query(prompt)
     union = sorted(set(_top_k(early, k)) | set(_top_k(late, k)))
     deltas = {token: late.get(token, 0.0) - early.get(token, 0.0) for token in union}
     rising = sorted(

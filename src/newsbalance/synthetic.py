@@ -19,6 +19,7 @@ from datetime import date
 from pathlib import Path
 from typing import Sequence
 
+from .config import RunConfig, schema_defaults
 from .corpus import Article, write_corpus
 
 __all__ = ["SynthSpec", "generate_corpus", "write_outlet_files", "default_config"]
@@ -216,46 +217,14 @@ def write_outlet_files(articles: Sequence[Article], directory: str | Path) -> di
     return paths
 
 
-def default_config(
-    corpus_paths: dict,
-    output_dir: str = "out",
-    seed: int = 42,
-) -> dict:
-    """A ready-to-run configuration for the generated archive.
-
-    Embedding parameters are kept small: the synthetic vocabulary is tiny and
-    the goal is a fast, reproducible end-to-end run.
-    """
-    return {
-        "corpora": {outlet: str(path) for outlet, path in sorted(corpus_paths.items())},
-        "party_lexicons": None,
-        "gazetteer": {"cities": None, "states": None},
-        "analyzers": {"valence": None, "modifiers": None, "subjectivity": None},
-        "date_range": {"start": "2010-01-01", "end": "2011-12-31"},
-        "metrics": None,
-        "clustering": {"linkage": "average", "znormalize": False},
-        "embedding": {
-            "dim": 32,
-            "window": 4,
-            "negatives": 5,
-            "epochs": 2,
-            "min_count": 5,
-            "subsample": 0.001,
-            "anchor_count": 1000,
-            "alignment": "procrustes",
-        },
-        "weat": {
-            "attributes_positive": ["good", "honest", "efficient", "superior"],
-            "attributes_negative": ["bad", "dishonest", "inefficient", "inferior"],
-        },
-        "probe": {
-            "order": 3,
-            "smoothing": 0.01,
-            "top_k": 50,
-            "max_rank": 15,
-            "party_tokens": ["BJP", "Congress"],
-            "prompt": "This election people will vote for <mask>.",
-        },
-        "output_dir": output_dir,
-        "seed": seed,
-    }
+def default_config(corpus_paths: dict, spec: SynthSpec) -> dict:
+    """The schema's defaults with the archive's corpora, dates and seed, and
+    small embeddings: the synthetic vocabulary is tiny and the goal is a fast,
+    reproducible end-to-end run."""
+    config = schema_defaults(RunConfig)
+    config["corpora"] = {outlet: str(path) for outlet, path in sorted(corpus_paths.items())}
+    last_year = spec.start_year + (spec.months - 1) // 12
+    config["date_range"] = {"start": f"{spec.start_year}-01-01", "end": f"{last_year}-12-31"}
+    config["embedding"].update(dim=32, window=4, epochs=2)
+    config["seed"] = spec.seed
+    return config

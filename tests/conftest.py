@@ -5,6 +5,7 @@ import datetime as dt
 import pytest
 
 from newsbalance.corpus import Article
+from newsbalance.geo import count_mentions
 from newsbalance.metrics import AnalyzerSuite
 from newsbalance.synthetic import SynthSpec, generate_corpus
 from newsbalance.tagging import default_party_lexicons
@@ -40,3 +41,11 @@ def make_article(
         headline=headline,
         content=content,
     )
+
+
+def yearly_place_counts(articles, gazetteer, level: str) -> dict:
+    """Place counts per (outlet, year), the input of `geo.yearly_geo_trends`."""
+    buckets: dict = {}
+    for article in articles:
+        buckets.setdefault((article.outlet, article.published.year), []).append(article)
+    return {key: count_mentions(group, gazetteer, level) for key, group in buckets.items()}

@@ -25,10 +25,10 @@ from newsbalance.embeddings import (
 from newsbalance.errors import DegenerateScoreError
 from newsbalance.geo import Gazetteer, bottom_share, homogeneity_inverse_std, yearly_geo_trends
 from newsbalance.metrics import MetricId, compute_all_series, imbalance
-from newsbalance.probe import ngram_backend, popularity_pair, popularity_probability, token_delta_ranking
+from newsbalance.probe import VOTE_PROMPT, ngram_backend, popularity_pair, token_delta_ranking
 from newsbalance.timeseries import cluster, distance_matrix, dtw_distance
 
-from conftest import make_article
+from conftest import make_article, yearly_place_counts
 from test_timeseries import brute_force_dtw
 
 
@@ -266,7 +266,7 @@ def test_criterion_08_geo_metrics():
                     )
                 )
                 serial += 1
-    trend = yearly_geo_trends(articles, gazetteer, level="state")["daily-alpha"]
+    trend = yearly_geo_trends(yearly_place_counts(articles, gazetteer, "state"))["daily-alpha"]
     bottom20 = [t.bottom20 for t in trend]
     assert all(x < y for x, y in zip(bottom20, bottom20[1:]))
     passed(8, "uniform/dominant fixtures exact; planted flattening gives rising bottom-20% series")
@@ -280,8 +280,7 @@ def test_criterion_09_probe_arithmetic():
         make_article(id=f"c{i}", content="This election people will vote for Congress.")
         for i in range(15)
     ]
-    backend = ngram_backend(skewed)
-    p_b, p_c = popularity_pair(backend)
+    p_b, p_c = popularity_pair(ngram_backend(skewed).query(VOTE_PROMPT))
     assert p_b + p_c == 1.0
     assert p_b > 0.5  # planted 70/30 direction
 
@@ -292,18 +291,11 @@ def test_criterion_09_probe_arithmetic():
         ]
         + [make_article(id="y0", content="This election people will vote for BJP.")]
     )
-    assert popularity_probability(flipped) < 0.5
+    assert popularity_pair(flipped.query(VOTE_PROMPT))[0] < 0.5
 
-    class Fixed:
-        def __init__(self, dist):
-            self.dist = dist
-
-        def query(self, prompt, mask_token="<mask>"):
-            return dict(self.dist)
-
-    early = Fixed({"a": 0.40, "b": 0.10, "c": 0.05, "d": 0.25, "e": 0.20})
-    late = Fixed({"a": 0.10, "b": 0.20, "c": 0.30, "d": 0.20, "e": 0.20})
-    rising, falling = token_delta_ranking(early, late, "x <mask>", k=50, m=15)
+    early = {"a": 0.40, "b": 0.10, "c": 0.05, "d": 0.25, "e": 0.20}
+    late = {"a": 0.10, "b": 0.20, "c": 0.30, "d": 0.20, "e": 0.20}
+    rising, falling = token_delta_ranking(early, late, k=50, m=15)
     # hand table: deltas c:+0.25, b:+0.10, d:-0.05, a:-0.30, e:0
     assert [(t, round(d, 10)) for t, d in rising] == [("c", 0.25), ("b", 0.10)]
     assert [(t, round(d, 10)) for t, d in falling] == [("a", -0.30), ("d", -0.05)]

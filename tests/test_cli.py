@@ -1,16 +1,19 @@
 from __future__ import annotations
 
+import copy
 import csv
 import dataclasses
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from newsbalance import corpus, geo, metrics, nlp, tagging, timeseries
 from newsbalance.cli import main
@@ -141,6 +144,17 @@ class TestValidate:
             ("probe", "smothing", 0.5),
             ("date_range", "begin", "2010-01-01"),
             (None, "clusterng", {"linkage": "single"}),
+            (None, "corpora", {"daily-alpha": None}),
+            ("probe", "smoothing", "inf"),
+            ("embedding", "subsample", "nan"),
+            (None, "metrics", []),
+            (None, "metrics", ["cov_head", "cov_head"]),
+            ("weat", "attributes_positive", ["good good"]),
+            ("weat", "attributes_positive", [""]),
+            ("weat", "attributes_positive", ["Good"]),
+            ("probe", "party_tokens", ["BJP", "BJP"]),
+            ("gazetteer", "cities", "."),
+            (None, "embedding", {"dim": 2000}),
         ],
     )
     def test_bad_value_is_a_config_error(self, tmp_path, synth_dir, capsys, section, key, value):
@@ -162,6 +176,81 @@ class TestValidate:
         base = json.loads((synth_dir / "config.json").read_text())
         config = self._rewritten_config(synth_dir, tmp_path, **{section: {**base[section], key: value}})
         assert getattr(getattr(RunConfig.from_file(config), section), key) == expected
+
+    @pytest.mark.parametrize("value", [5.0, "5"])
+    def test_seed_written_otherwise_is_converted(self, tmp_path, synth_dir, value):
+        config = self._rewritten_config(synth_dir, tmp_path, seed=value)
+        assert RunConfig.from_file(config).seed == 5
+
+
+def _key_paths(node: dict, path: tuple = ()):
+    for key, value in node.items():
+        yield path + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, path + (key,))
+
+
+# A mutation drops a key of the sample config or sets it to a value of another
+# JSON type, out of range, non-finite, empty, repeated or naming a file of the
+# wrong kind.
+_MUTANT_VALUES = [
+    None, True, False, 0, -1, 1, 2.5, float("inf"), float("nan"), "", "x", "-1", "inf", "Good",
+    "good good", "2010-13-01", "corpus/daily-beta.jsonl", [], [0], ["BJP", "BJP"], ["good"],
+    ["cov_head", "cov_head"], {}, {"x": 1},
+]
+_KEY_PATHS = st.sampled_from(list(_key_paths(json.loads(SAMPLE_CONFIG.read_text()))))
+_MUTATIONS = st.one_of(
+    st.tuples(st.just("drop"), _KEY_PATHS),
+    st.tuples(st.just("set"), _KEY_PATHS, st.sampled_from(_MUTANT_VALUES)),
+)
+
+
+def _strict_json(text: str):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.fixture(scope="module")
+def mutant_dir(synth_dir, tmp_path_factory):
+    """A directory for mutated configs whose `corpus` links to the synth corpus,
+    so the synth config's relative paths resolve from it."""
+    directory = tmp_path_factory.mktemp("mutant")
+    (directory / "corpus").symlink_to(synth_dir / "corpus")
+    return directory
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(mutations=st.lists(_MUTATIONS, min_size=1, max_size=2))
+@example(mutations=[("set", ("corpora", "daily-alpha"), None)])
+@example(mutations=[("set", ("probe", "smoothing"), "inf")])
+def test_validate_rejects_what_a_command_would(synth_dir, mutant_dir, mutations):
+    """`validate` exits 0 or 1; once it accepts a config, no command fails it
+    (exit 1) or crashes (exit 3), and every JSON artifact is strict JSON."""
+    raw = json.loads((synth_dir / "config.json").read_text())
+    for op, path, *value in mutations:
+        parent = raw
+        for key in path[:-1]:
+            parent = parent.get(key) if isinstance(parent, dict) else None
+        if not isinstance(parent, dict):
+            continue  # an earlier mutation replaced the section
+        if op == "drop":
+            parent.pop(path[-1], None)
+        else:
+            parent[path[-1]] = copy.deepcopy(value[0])
+    config = mutant_dir / "config.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    code = main(["validate", "--config", str(config)])
+    assert code in (0, 1)
+    if code == 1:
+        return
+    out = mutant_dir / "out"
+    shutil.rmtree(out, ignore_errors=True)
+    for command in ("metrics", "cluster", "geo", "probe"):
+        assert main([command, "--config", str(config), "--out", str(out)]) in (0, 2), command
+    for artifact in out.rglob("*.json"):
+        _strict_json(artifact.read_text(encoding="utf-8"))
 
 
 class TestCommands:

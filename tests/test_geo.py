@@ -14,7 +14,7 @@ from newsbalance.geo import (
 )
 from newsbalance.tagging import TextTable
 
-from conftest import make_article
+from conftest import make_article, yearly_place_counts
 
 
 @pytest.fixture(scope="module")
@@ -166,14 +166,14 @@ class TestYearlyTrends:
                         )
                     )
                     counter += 1
-        trends = yearly_geo_trends(articles, gaz, level="state")["daily-alpha"]
+        trends = yearly_geo_trends(yearly_place_counts(articles, gaz, "state"))["daily-alpha"]
         bottom20 = [t.bottom20 for t in trends]
         assert len(bottom20) == 5
         assert all(x < y for x, y in zip(bottom20, bottom20[1:]))
 
     def test_single_year_corpus(self, gazetteer):
         articles = [make_article(content="Delhi and Maharashtra featured.")]
-        trends = yearly_geo_trends(articles, gazetteer, level="state")
+        trends = yearly_geo_trends(yearly_place_counts(articles, gazetteer, "state"))
         assert len(trends["daily-alpha"]) == 1
         assert trends["daily-alpha"][0].year == 2010
 
@@ -182,7 +182,8 @@ class TestYearlyTrends:
             make_article(id="a1", published="2010-03-01", content="Delhi news."),
             make_article(id="a2", published="2012-03-01", content="Mumbai news."),
         ]
-        years = [t.year for t in yearly_geo_trends(articles, gazetteer, "city")["daily-alpha"]]
+        trends = yearly_geo_trends(yearly_place_counts(articles, gazetteer, "city"))
+        years = [t.year for t in trends["daily-alpha"]]
         assert years == [2010, 2012]
 
 

@@ -12,107 +12,94 @@ from newsbalance.probe import (
     NgramMaskBackend,
     ngram_backend,
     popularity_pair,
-    popularity_probability,
     token_delta_ranking,
-    vote_preference,
 )
 
 from conftest import make_article
 from oracles import CounterNgramMaskBackend
 
 
-class StubBackend:
-    def __init__(self, distribution):
-        self.distribution = dict(distribution)
-
-    def query(self, prompt, mask_token=MASK):
-        return dict(self.distribution)
-
-
 class TestVotePreference:
+    """A party's vote preference is its mass at the mask slot, looked up by token."""
+
     def test_uniform_toy_backend(self):
-        backend = StubBackend({"BJP": 0.5, "Congress": 0.5})
-        assert vote_preference(backend, "BJP") == 0.5
-        assert vote_preference(backend, "Congress") == 0.5
+        assert popularity_pair({"BJP": 0.5, "Congress": 0.5}) == (0.5, 0.5)
 
     def test_lookup(self):
-        backend = StubBackend({"BJP": 0.3, "Congress": 0.1, "other": 0.6})
-        assert vote_preference(backend, "BJP") == 0.3
+        p_other, _ = popularity_pair({"BJP": 0.3, "Congress": 0.1, "other": 0.6}, "other", "BJP")
+        assert p_other == pytest.approx(0.6 / 0.9, abs=1e-12)
 
     def test_absent_token_is_zero(self):
-        backend = StubBackend({"Congress": 0.2})
-        assert vote_preference(backend, "BJP") == 0.0
+        assert popularity_pair({"Congress": 0.2}) == (0.0, 1.0)
 
 
 class TestPopularity:
     def test_hand_normalization(self):
-        backend = StubBackend({"BJP": 0.3, "Congress": 0.1})
-        assert popularity_probability(backend) == pytest.approx(0.75, abs=1e-12)
+        p_b, _ = popularity_pair({"BJP": 0.3, "Congress": 0.1, "other": 0.6})
+        assert p_b == pytest.approx(0.75, abs=1e-12)
 
     def test_symmetry(self):
-        backend = StubBackend({"BJP": 0.2, "Congress": 0.2})
-        assert popularity_probability(backend) == 0.5
+        assert popularity_pair({"BJP": 0.2, "Congress": 0.2})[0] == 0.5
 
     def test_both_zero_is_error(self):
-        backend = StubBackend({"other": 1.0})
         with pytest.raises(UndefinedProbabilityError):
-            popularity_probability(backend)
+            popularity_pair({"other": 1.0})
 
     def test_pair_sums_to_one_exactly(self):
         for dist in [{"BJP": 0.3, "Congress": 0.1}, {"BJP": 0.1, "Congress": 0.2}]:
-            p_b, p_c = popularity_pair(StubBackend(dist))
+            p_b, p_c = popularity_pair(dist)
             assert p_b + p_c == 1.0
 
 
 class TestTokenDeltaRanking:
     def test_identical_backends_empty(self):
-        backend = StubBackend({"a": 0.5, "b": 0.3})
-        rising, falling = token_delta_ranking(backend, backend, "x <mask>")
+        slot = {"a": 0.5, "b": 0.3}
+        rising, falling = token_delta_ranking(slot, slot)
         assert rising == [] and falling == []
 
     def test_new_token_heads_rising(self):
-        early = StubBackend({"a": 0.5})
-        late = StubBackend({"a": 0.5, "b": 0.2})
-        rising, falling = token_delta_ranking(early, late, "x <mask>")
+        early = {"a": 0.5}
+        late = {"a": 0.5, "b": 0.2}
+        rising, falling = token_delta_ranking(early, late)
         assert rising[0] == ("b", pytest.approx(0.2))
         assert falling == []
 
     def test_hand_delta_table(self):
         # hand deltas: a:-0.3, b:+0.1, c:+0.25, d:-0.05, e:0 (dropped)
-        early = StubBackend({"a": 0.4, "b": 0.1, "c": 0.05, "d": 0.25, "e": 0.2})
-        late = StubBackend({"a": 0.1, "b": 0.2, "c": 0.3, "d": 0.2, "e": 0.2})
-        rising, falling = token_delta_ranking(early, late, "x <mask>")
+        early = {"a": 0.4, "b": 0.1, "c": 0.05, "d": 0.25, "e": 0.2}
+        late = {"a": 0.1, "b": 0.2, "c": 0.3, "d": 0.2, "e": 0.2}
+        rising, falling = token_delta_ranking(early, late)
         assert [t for t, _ in rising] == ["c", "b"]
         assert [t for t, _ in falling] == ["a", "d"]
 
     def test_truncation_to_m(self):
-        early = StubBackend({f"t{i}": 0.01 for i in range(20)})
-        late = StubBackend({f"t{i}": 0.01 * (i + 2) for i in range(20)})
-        rising, _ = token_delta_ranking(early, late, "x <mask>", k=50, m=5)
+        early = {f"t{i}": 0.01 for i in range(20)}
+        late = {f"t{i}": 0.01 * (i + 2) for i in range(20)}
+        rising, _ = token_delta_ranking(early, late, k=50, m=5)
         assert len(rising) == 5
 
     def test_swap_exchanges_lists(self):
-        early = StubBackend({"a": 0.4, "b": 0.1})
-        late = StubBackend({"a": 0.1, "b": 0.3})
-        rising, falling = token_delta_ranking(early, late, "x <mask>")
-        rev_rising, rev_falling = token_delta_ranking(late, early, "x <mask>")
+        early = {"a": 0.4, "b": 0.1}
+        late = {"a": 0.1, "b": 0.3}
+        rising, falling = token_delta_ranking(early, late)
+        rev_rising, rev_falling = token_delta_ranking(late, early)
         assert [t for t, _ in rising] == [t for t, _ in rev_falling]
         assert [t for t, _ in falling] == [t for t, _ in rev_rising]
         assert not set(t for t, _ in rising) & set(t for t, _ in falling)
 
     def test_top_k_union_limits_candidates(self):
-        early = StubBackend({"a": 0.9, "b": 0.05, "c": 0.01})
-        late = StubBackend({"a": 0.1, "b": 0.8, "c": 0.02})
-        rising, falling = token_delta_ranking(early, late, "x <mask>", k=1)
+        early = {"a": 0.9, "b": 0.05, "c": 0.01}
+        late = {"a": 0.1, "b": 0.8, "c": 0.02}
+        rising, falling = token_delta_ranking(early, late, k=1)
         # only a (early top-1) and b (late top-1) are candidates
         assert {t for t, _ in rising} <= {"a", "b"}
         assert {t for t, _ in falling} <= {"a", "b"}
 
     def test_top_k_ties_break_by_token(self):
-        # a and b tie in both backends; top-2 keeps c and the smaller token, a
-        early = StubBackend({"c": 0.6, "b": 0.2, "a": 0.2})
-        late = StubBackend({"c": 0.6, "b": 0.3, "a": 0.3})
-        rising, falling = token_delta_ranking(early, late, "x <mask>", k=2)
+        # a and b tie in both distributions; top-2 keeps c and the smaller token, a
+        early = {"c": 0.6, "b": 0.2, "a": 0.2}
+        late = {"c": 0.6, "b": 0.3, "a": 0.3}
+        rising, falling = token_delta_ranking(early, late, k=2)
         assert [t for t, _ in rising] == ["a"]
         assert falling == []
 
@@ -133,11 +120,11 @@ def vote_articles(b_count, c_count):
 class TestNgramBackend:
     def test_dominant_party_near_one(self):
         backend = ngram_backend(vote_articles(50, 0))
-        assert popularity_probability(backend) > 0.99
+        assert popularity_pair(backend.query(VOTE_PROMPT))[0] > 0.99
 
     def test_balanced_corpus_half(self):
         backend = ngram_backend(vote_articles(25, 25))
-        assert popularity_probability(backend) == pytest.approx(0.5, abs=1e-9)
+        assert popularity_pair(backend.query(VOTE_PROMPT))[0] == pytest.approx(0.5, abs=1e-9)
 
     def test_unseen_context_uniform(self):
         backend = ngram_backend(vote_articles(5, 5))
