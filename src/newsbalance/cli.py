@@ -4,11 +4,16 @@ Commands: validate, synth, metrics, cluster, weat, geo, probe, report. Every
 command reads the same JSON config and writes its artifacts plus a provenance
 block (config hash, seed, tool version) under its own subdirectory, so any
 subset of commands can run independently. The commands of one run share a
-`RunContext`: it loads and filters the corpora once, keeps each article's
-units, party tags, feature rows and place sets, and computes the metric
-series once for `metrics` and `cluster`, each made on first use, so a command
-run alone builds only what it reads. `report` runs everything on one context
-and bundles the results into one deterministic JSON file.
+`RunContext`: it loads and filters the corpora once, groups them into
+(outlet, year) partitions, keeps each article's units, party tags, feature
+rows and place sets, computes the metric series once for `metrics` and
+`cluster`, and trains the yearly SGNS models for `weat`, each made on first
+use, so a command run alone builds only what it reads. `report` runs
+everything on one context and bundles the results into one deterministic JSON
+file. It starts the SGNS training first: worker processes train every outlet
+but the first, and this process trains the first before it builds the text
+table, then runs `metrics`, `cluster`, `geo` and `probe` while the workers
+train, and `weat` last.
 
 Exit codes: 0 ok, 1 config error, 2 data error, 3 internal error.
 """
@@ -23,6 +28,7 @@ import os
 import sys
 from collections import Counter
 from functools import cached_property
+from itertools import groupby
 from pathlib import Path
 from typing import Sequence
 
@@ -30,15 +36,8 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig
-from .corpus import Article, SkipRecord, article_sentences, headline_sentence, load_corpus, write_skip_report
-from .embeddings import (
-    AssociationSets,
-    SgnsParams,
-    popularity_timeline,
-    save_binary,
-    train_sgns,
-    weat_score,
-)
+from .corpus import Article, SkipRecord, load_corpus, write_skip_report
+from .embeddings import AssociationSets, EmbeddingSpace, SgnsParams, popularity_timeline, save_binary, weat_score
 from .errors import (
     ConfigError,
     ContractViolation,
@@ -62,6 +61,7 @@ from .probe import ngram_backend, popularity_pair, token_delta_ranking
 from .synthetic import SynthSpec, default_config, generate_corpus, write_outlet_files
 from .tagging import TextTable, default_party_lexicons, load_party_lexicons
 from .timeseries import cluster, distance_matrix, drop_missing, write_distance_csv, z_normalize
+from .training import SgnsJob, SgnsResult, SgnsWorkers, train_outlet
 from ._data import data_path
 
 logger = logging.getLogger(__name__)
@@ -99,17 +99,48 @@ def _load_gazetteer(cfg: RunConfig) -> Gazetteer:
     return Gazetteer.load(cities, states)
 
 
+def _sgns_worker_count(outlets: int) -> int:
+    """Workers for all but one outlet, one per CPU this process may run on beyond its own."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(cpus, outlets) - 1
+
+
+def _embedding_seed(base_seed: int, outlet_index: int, year: int) -> int:
+    return int(np.random.SeedSequence([base_seed, outlet_index, year]).generate_state(1)[0])
+
+
+def _outlet_years(partitions: dict[tuple[str, int], list[Article]]):
+    """(outlet, [(year, articles), ...]) for each outlet, from the sorted partitions."""
+    for outlet, group in groupby(partitions.items(), key=lambda item: item[0][0]):
+        yield outlet, [(year, articles) for (_, year), articles in group]
+
+
 class RunContext:
     """What one run loads and derives from its config, each made on first use.
 
-    The corpora are read once. The text table then keeps each article's
-    units, party tags, feature rows and place sets for the rest of the run.
-    The metric series are computed once, for `metrics` and `cluster`; `report`
-    drops them once `cluster` is done. Everything here goes when the run does.
+    The corpora are read once and grouped into (outlet, year) partitions. The
+    text table then keeps each article's units, party tags, feature rows and
+    place sets for the rest of the run. The metric series are computed once,
+    for `metrics` and `cluster`; `report` drops them once `cluster` is done.
+    The yearly SGNS models train in worker processes, all but the first
+    outlet's, and in this process, which trains the first outlet's when
+    `start_sgns` is called; `sgns_spaces` waits for the workers. Use the
+    context in a `with` block, so that no worker outlives it. Everything here
+    goes when the run does.
     """
 
-    def __init__(self, cfg: RunConfig):
+    def __init__(self, cfg: RunConfig, sgns_workers: int | None = None):
         self.cfg = cfg
+        # None: `_sgns_worker_count` of the outlets; 0 trains every outlet here.
+        self._sgns_workers = sgns_workers
+        self._workers: SgnsWorkers | None = None
+
+    def __enter__(self) -> "RunContext":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self._workers is not None:
+            self._workers.close()
 
     @cached_property
     def lexicons(self):
@@ -148,6 +179,68 @@ class RunContext:
                 a for a in loaded if dates.start <= a.published <= dates.end
             )
         return articles, skips
+
+    @cached_property
+    def partitions(self) -> dict[tuple[str, int], list[Article]]:
+        """Each (outlet, year)'s articles in the date range, in sorted key order."""
+        partitions: dict[tuple[str, int], list[Article]] = {}
+        for article in self._corpora[0]:
+            partitions.setdefault((article.outlet, article.published.year), []).append(article)
+        return {key: partitions[key] for key in sorted(partitions)}
+
+    def start_sgns(self) -> None:
+        """Start the workers, then train the first outlet's years here."""
+        self._sgns_here
+
+    @cached_property
+    def _sgns_here(self) -> list[SgnsResult]:
+        cfg = self.cfg
+        embedding = cfg.embedding
+        params = SgnsParams(
+            dim=embedding.dim,
+            window=embedding.window,
+            negatives=embedding.negatives,
+            epochs=embedding.epochs,
+            min_count=embedding.min_count,
+            subsample=embedding.subsample,
+        )
+        jobs = [
+            SgnsJob(
+                outlet,
+                tuple(
+                    (year, _embedding_seed(cfg.seed, index, year), tuple(articles)) for year, articles in years
+                ),
+                params,
+            )
+            for index, (outlet, years) in enumerate(_outlet_years(self.partitions))
+        ]
+        workers = self._sgns_workers
+        workers = max(0, min(_sgns_worker_count(len(jobs)) if workers is None else workers, len(jobs) - 1))
+        if workers:
+            self._workers = SgnsWorkers([jobs[1 + i :: workers] for i in range(workers)])
+            jobs = jobs[:1]
+        return [train_outlet(job) for job in jobs]
+
+    @cached_property
+    def sgns_spaces(self) -> dict[str, tuple[EmbeddingSpace, ...]]:
+        """{outlet: its yearly spaces in year order}, once every worker is done."""
+        trained = [("this process", self._sgns_here)]
+        if self._workers is not None:
+            shares = self._workers.results()
+            trained += [(f"worker {i + 1}", share) for i, share in enumerate(shares)]
+        spaces = {}
+        for where, results in trained:
+            for result in results:
+                logger.info(
+                    "SGNS %s: years %s, %d tokens, %.2f s in %s",
+                    result.outlet,
+                    ",".join(str(s.year) for s in result.spaces),
+                    result.tokens,
+                    result.seconds,
+                    where,
+                )
+                spaces[result.outlet] = result.spaces
+        return {outlet: spaces[outlet] for outlet in sorted(spaces)}
 
     def articles(self, command_dir: Path) -> list[Article]:
         """The articles in the date range; the skip reports go under command_dir."""
@@ -291,53 +384,25 @@ def _party_token_sets(lexicons) -> tuple[tuple[str, ...], tuple[str, ...]]:
     return sets[0], sets[1]
 
 
-def _embedding_seed(base_seed: int, outlet_index: int, year: int) -> int:
-    return int(np.random.SeedSequence([base_seed, outlet_index, year]).generate_state(1)[0])
-
-
 def cmd_weat(ctx: RunContext, out_base: Path) -> dict:
     """Yearly embeddings and WEAT scores.
 
-    Reads each article in its own pass rather than from the text table, so
-    that `report`, which runs this first, does not hold the table while SGNS
-    trains.
+    The embeddings are `RunContext.sgns_spaces`, each trained from its own
+    pass over its partition's articles rather than from the text table; run
+    alone, this command starts the training itself.
     """
     cfg = ctx.cfg
     directory = _command_dir(out_base, "weat")
     lexicons = ctx.lexicons
-    articles = ctx.articles(directory)
+    ctx.articles(directory)
     s1, s2 = _party_token_sets(lexicons)
     sets = AssociationSets(s1=s1, s2=s2, a1=cfg.weat.attributes_positive, a2=cfg.weat.attributes_negative)
 
-    buckets: dict[tuple[str, int], list[Article]] = {}
-    for article in articles:
-        buckets.setdefault((article.outlet, article.published.year), []).append(article)
-    outlets = sorted({outlet for outlet, _ in buckets})
-
     payload: dict = {}
     csv_rows: list[str] = ["outlet,year,group1,group2,weat_score"]
-    for outlet_index, outlet in enumerate(outlets):
-        years = sorted(year for o, year in buckets if o == outlet)
-        spaces = []
-        for year in years:
-            sentences = []
-            for article in buckets[(outlet, year)]:
-                units = [headline_sentence(article)] + article_sentences(article)
-                for unit in units:
-                    if unit.tokens:
-                        sentences.append([t.lower() for t in unit.tokens])
-            params = SgnsParams(
-                dim=cfg.embedding.dim,
-                window=cfg.embedding.window,
-                negatives=cfg.embedding.negatives,
-                epochs=cfg.embedding.epochs,
-                min_count=cfg.embedding.min_count,
-                subsample=cfg.embedding.subsample,
-                seed=_embedding_seed(cfg.seed, outlet_index, year),
-            )
-            space = train_sgns(sentences, params, year=year)
-            save_binary(space, directory / f"{outlet}_{year}.nbe")
-            spaces.append(space)
+    for outlet, spaces in ctx.sgns_spaces.items():
+        for space in spaces:
+            save_binary(space, directory / f"{outlet}_{space.year}.nbe")
         if len(spaces) < 2:
             raise DataError(f"outlet {outlet}: popularity timeline needs >= 2 years")
         timeline = popularity_timeline(
@@ -371,11 +436,7 @@ def cmd_geo(ctx: RunContext, out_base: Path) -> dict:
     cfg = ctx.cfg
     directory = _command_dir(out_base, "geo")
     gazetteer = ctx.gazetteer
-    articles = ctx.articles(directory)
-
-    buckets: dict[tuple[str, int], list[Article]] = {}
-    for article in articles:
-        buckets.setdefault((article.outlet, article.published.year), []).append(article)
+    ctx.articles(directory)
 
     payload: dict = {"totals": {}, "trends": {}}
     yearly: dict[str, dict] = {}  # level -> {(outlet, year): place counts}
@@ -383,8 +444,8 @@ def cmd_geo(ctx: RunContext, out_base: Path) -> dict:
         rows = []
         outlet_counts: dict[str, Counter] = {}
         yearly[level] = {}
-        for (outlet, year) in sorted(buckets):
-            counts = count_mentions(buckets[(outlet, year)], gazetteer, level, ctx.table)
+        for (outlet, year), articles in ctx.partitions.items():
+            counts = count_mentions(articles, gazetteer, level, ctx.table)
             yearly[level][(outlet, year)] = counts
             # An outlet's totals are the sums of its yearly counts.
             outlet_counts.setdefault(outlet, Counter()).update(counts)
@@ -415,23 +476,18 @@ def cmd_geo(ctx: RunContext, out_base: Path) -> dict:
 def cmd_probe(ctx: RunContext, out_base: Path) -> dict:
     cfg = ctx.cfg
     directory = _command_dir(out_base, "probe")
-    articles = ctx.articles(directory)
+    ctx.articles(directory)
     party_b, party_c = cfg.probe.party_tokens
-
-    buckets: dict[tuple[str, int], list[Article]] = {}
-    for article in articles:
-        buckets.setdefault((article.outlet, article.published.year), []).append(article)
-    outlets = sorted({outlet for outlet, _ in buckets})
 
     payload: dict = {}
     csv_rows = [f"outlet,year,p_{party_b},p_{party_c}"]
-    for outlet in outlets:
-        years = sorted(year for o, year in buckets if o == outlet)
+    for outlet, partitions in _outlet_years(ctx.partitions):
+        years = [year for year, _ in partitions]
         slots = {}  # year -> the slice's distribution at the prompt's mask slot
         popularity = []
-        for year in years:
+        for year, articles in partitions:
             backend = ngram_backend(
-                buckets[(outlet, year)],
+                articles,
                 order=cfg.probe.order,
                 smoothing=cfg.probe.smoothing,
                 table=ctx.table,
@@ -465,20 +521,23 @@ def cmd_probe(ctx: RunContext, out_base: Path) -> dict:
 def cmd_report(ctx: RunContext, out_base: Path) -> dict:
     directory = _command_dir(out_base, "report")
     provenance = _provenance(ctx.cfg, "report")
-    # weat first: SGNS training is the run's memory peak, and the text table
-    # that the other commands share does not exist yet while it trains.
-    weat = cmd_weat(ctx, out_base)
+    # SGNS training is the run's memory peak, so this process trains its share
+    # before the text table that the other commands share exists; the workers
+    # train the rest while those commands run, and weat collects them last.
+    ctx.start_sgns()
     metrics = cmd_metrics(ctx, out_base)
     clusters = cmd_cluster(ctx, out_base)
     del ctx.series  # no later command reads them
+    geo = cmd_geo(ctx, out_base)
+    probe = cmd_probe(ctx, out_base)
     bundle = {
         "provenance": provenance,
         "commands": {
             "metrics": metrics,
             "cluster": clusters,
-            "weat": weat,
-            "geo": cmd_geo(ctx, out_base),
-            "probe": cmd_probe(ctx, out_base),
+            "weat": cmd_weat(ctx, out_base),
+            "geo": geo,
+            "probe": probe,
         },
     }
     _write_json(bundle, directory / "bundle.json")
@@ -570,7 +629,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             "probe": cmd_probe,
             "report": cmd_report,
         }[args.command]
-        runner(RunContext(cfg), out_base)
+        with RunContext(cfg) as ctx:
+            runner(ctx, out_base)
         print(f"{args.command}: artifacts written under {out_base}")
         return 0
     except ConfigError as exc:

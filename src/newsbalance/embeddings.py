@@ -64,17 +64,21 @@ _SCATTER_BLOCK_ROWS = 4096
 
 @dataclass(frozen=True)
 class SgnsParams:
-    """Skip-gram training knobs; defaults follow common word2vec practice."""
+    """Skip-gram training knobs.
 
-    dim: int = 100
-    window: int = 5
-    negatives: int = 5
-    epochs: int = 5
-    min_count: int = 5
+    The first six come from the run config's `embedding` section, which holds
+    their defaults; the rest are training constants.
+    """
+
+    dim: int
+    window: int
+    negatives: int
+    epochs: int
+    min_count: int
+    subsample: float
     seed: int = 0
     learning_rate: float = 0.025
     min_learning_rate: float = 1e-4
-    subsample: float = 1e-3
     chunk_pairs: int = 4096
 
 
@@ -208,7 +212,7 @@ def _scatter_add(table: np.ndarray, rows: np.ndarray, values: np.ndarray) -> Non
 
 def train_sgns(
     sentences: Sequence[Sequence[str]],
-    params: SgnsParams = SgnsParams(),
+    params: SgnsParams,
     year: int = 0,
 ) -> EmbeddingSpace:
     """Train skip-gram-with-negative-sampling embeddings on tokenized sentences.

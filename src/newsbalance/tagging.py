@@ -87,6 +87,10 @@ class PhraseMatcher:
     Phrases are tokenized with the corpus tokenizer and compared against the
     hyphen-expanded token sequence. When `acronyms_case_sensitive` is set,
     all-uppercase phrases compare exactly; everything else compares lowercase.
+
+    Each token type's hyphen-split parts, their lowercase forms and the parts
+    at which a phrase may start are worked out once per matcher and kept, so
+    a match reads them and compares phrases only at those parts.
     """
 
     def __init__(self, phrases: Iterable[tuple[str, str]], acronyms_case_sensitive: bool = True):
@@ -102,31 +106,60 @@ class PhraseMatcher:
             else:
                 folded = tuple(t.lower() for t in tokens)
                 self._folded[folded[0]].append((folded[1:], label))
+        # token -> (hyphen-split parts, their lowercase forms, and for each
+        # part at which a phrase may start: its offset, the exact and the
+        # folded phrases that start there)
+        self._forms: dict[str, tuple] = {}
+
+    def _token_forms(self, token: str) -> tuple:
+        parts = tuple(expand_hyphens((token,)))
+        folded = tuple(part.lower() for part in parts)
+        starts = tuple(
+            (k, self._exact.get(part, ()), self._folded.get(low, ()))
+            for k, (part, low) in enumerate(zip(parts, folded))
+            if part in self._exact or low in self._folded
+        )
+        forms = self._forms[token] = (parts, folded, starts)
+        return forms
+
+    def _expand(self, tokens: Sequence[str]) -> tuple[list[str], list[str], list[tuple]]:
+        """Hyphen-expanded tokens, their lowercase forms, and (position, exact
+        phrases, folded phrases) where a phrase may start."""
+        get = self._forms.get
+        expanded: list[str] = []
+        folded: list[str] = []
+        starts: list[tuple] = []
+        for token in tokens:
+            parts, low, offsets = get(token) or self._token_forms(token)
+            if offsets:
+                base = len(expanded)
+                starts += [(base + k, exact, fold) for k, exact, fold in offsets]
+            expanded += parts
+            folded += low
+        return expanded, folded, starts
 
     def match_tokens(self, tokens: Sequence[str]) -> set[str]:
         """Labels whose phrase occurs in the (hyphen-expanded) token sequence."""
-        expanded = expand_hyphens(tokens)
-        folded = [t.lower() for t in expanded]
+        expanded, folded, starts = self._expand(tokens)
         found: set[str] = set()
-        for i, token in enumerate(expanded):
-            for rest, label in self._exact.get(token, ()):
+        for i, exact, fold in starts:
+            for rest, label in exact:
                 if label not in found and tuple(expanded[i + 1 : i + 1 + len(rest)]) == rest:
                     found.add(label)
-            for rest, label in self._folded.get(folded[i], ()):
+            for rest, label in fold:
                 if label not in found and tuple(folded[i + 1 : i + 1 + len(rest)]) == rest:
                     found.add(label)
         return found
 
     def match_spans(self, tokens: Sequence[str]) -> list[tuple[int, int, str]]:
         """All phrase occurrences as (start, end_exclusive, label) over expanded tokens."""
-        expanded = expand_hyphens(tokens)
-        folded = [t.lower() for t in expanded]
+        expanded, folded, starts = self._expand(tokens)
         spans: list[tuple[int, int, str]] = []
-        for i, token in enumerate(expanded):
-            for rest, label in self._exact.get(token, ()):
+        for i, exact, fold in starts:
+            for rest, label in exact:
                 if tuple(expanded[i + 1 : i + 1 + len(rest)]) == rest:
                     spans.append((i, i + 1 + len(rest), label))
-            for rest, label in self._folded.get(folded[i], ()):
+            for rest, label in fold:
                 if tuple(folded[i + 1 : i + 1 + len(rest)]) == rest:
                     spans.append((i, i + 1 + len(rest), label))
         return spans

@@ -7,12 +7,13 @@ that replaced the oracle declared a bound.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from typing import Iterable, Sequence
 
 from newsbalance.corpus import tokenize
-from newsbalance.errors import ContractViolation, DataError
+from newsbalance.errors import ConfigError, ContractViolation, DataError
 from newsbalance.probe import MASK
+from newsbalance.tagging import expand_hyphens
 
 
 class CounterNgramMaskBackend:
@@ -71,3 +72,50 @@ class CounterNgramMaskBackend:
                 score *= self._conditional(chained, right[0])
             scores[token] = score
         return scores
+
+
+class ExpandEachCallPhraseMatcher:
+    """`tagging.PhraseMatcher` as it was before its per-type cache.
+
+    Each call hyphen-expands and lowercases every token again, then looks
+    every position up in the two first-token tables.
+    """
+
+    def __init__(self, phrases: Iterable[tuple[str, str]], acronyms_case_sensitive: bool = True):
+        self._exact: dict[str, list[tuple[tuple[str, ...], str]]] = defaultdict(list)
+        self._folded: dict[str, list[tuple[tuple[str, ...], str]]] = defaultdict(list)
+        for label, phrase in phrases:
+            tokens = expand_hyphens(tokenize(phrase))
+            if not tokens:
+                raise ConfigError(f"phrase for {label!r} has no word tokens: {phrase!r}")
+            if acronyms_case_sensitive and phrase.isupper():
+                self._exact[tokens[0]].append((tuple(tokens[1:]), label))
+            else:
+                folded = tuple(t.lower() for t in tokens)
+                self._folded[folded[0]].append((folded[1:], label))
+
+    def match_tokens(self, tokens: Sequence[str]) -> set[str]:
+        expanded = expand_hyphens(tokens)
+        folded = [t.lower() for t in expanded]
+        found: set[str] = set()
+        for i, token in enumerate(expanded):
+            for rest, label in self._exact.get(token, ()):
+                if label not in found and tuple(expanded[i + 1 : i + 1 + len(rest)]) == rest:
+                    found.add(label)
+            for rest, label in self._folded.get(folded[i], ()):
+                if label not in found and tuple(folded[i + 1 : i + 1 + len(rest)]) == rest:
+                    found.add(label)
+        return found
+
+    def match_spans(self, tokens: Sequence[str]) -> list[tuple[int, int, str]]:
+        expanded = expand_hyphens(tokens)
+        folded = [t.lower() for t in expanded]
+        spans: list[tuple[int, int, str]] = []
+        for i, token in enumerate(expanded):
+            for rest, label in self._exact.get(token, ()):
+                if tuple(expanded[i + 1 : i + 1 + len(rest)]) == rest:
+                    spans.append((i, i + 1 + len(rest), label))
+            for rest, label in self._folded.get(folded[i], ()):
+                if tuple(folded[i + 1 : i + 1 + len(rest)]) == rest:
+                    spans.append((i, i + 1 + len(rest), label))
+        return spans

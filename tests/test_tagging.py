@@ -3,20 +3,24 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from newsbalance.corpus import MonthKey, tokenize
+from newsbalance.corpus import MonthKey, article_sentences, headline_sentence, tokenize
 from newsbalance.errors import ConfigError, ContractViolation
+from newsbalance.geo import CITY, STATE, Gazetteer
 from newsbalance.tagging import (
     CONTENT,
     HEADLINE,
     PartyLexicon,
+    PhraseMatcher,
     TextTable,
     build_matcher,
     build_monthly_documents,
     get_document,
     load_party_lexicons,
 )
+from newsbalance._data import data_path
 
 from conftest import make_article
+from oracles import ExpandEachCallPhraseMatcher
 
 
 def match_parties(text, lexicons):
@@ -192,3 +196,65 @@ def test_match_parties_subset_of_token_vocab(tokens):
     if "Congress" in tokens:
         expected.add("congress")
     assert found == expected
+
+
+_EDGE_TEXTS = [
+    "Congress-led BJP-ruled alliance",
+    "the NDA-UPA face-off and the upa-nda rematch",
+    "-BJP BJP- a--b BJP--Congress ---",
+    "bjp Bjp BJP bJP CONGRESS congress Congress",
+    "United-Progressive Alliance and United Progressive-Alliance",
+    "Bharatiya Janata Party Bharatiya-Janata-Party bharatiya janata",
+    "New Delhi new-delhi NEW DELHI Delhi-based Mumbai's Navi-Mumbai",
+    "Orissa Odisha ODISHA Tamil Nadu Tamil-Nadu tamil",
+    "National Students' Union of India NSUI nsui",
+    "",
+    "BJP",
+    "Congress Congress Congress",
+]
+
+
+def _edge_units():
+    units = [tokenize(text) for text in _EDGE_TEXTS]
+    # A phrase cut short at the end of the unit, and one of its parts alone.
+    units += [["United", "Progressive"], ["Progressive", "Alliance"], ["Janata-Party"]]
+    return units
+
+
+class TestPhraseMatcherOracle:
+    """The per-type form cache against `ExpandEachCallPhraseMatcher`, the plain matcher."""
+
+    @pytest.fixture(scope="class")
+    def matchers(self, lexicons):
+        gazetteer = Gazetteer.load(data_path("india_cities.txt"), data_path("india_states.txt"))
+        party = [(lex.party_id, phrase) for lex in lexicons for phrase in lex.phrases]
+        pairs = [(PhraseMatcher(party), ExpandEachCallPhraseMatcher(party))]
+        for level in (CITY, STATE):
+            places = [(place, alias) for place, aliases in gazetteer.places(level).items() for alias in (place, *aliases)]
+            pairs.append((PhraseMatcher(places, False), ExpandEachCallPhraseMatcher(places, False)))
+        return pairs
+
+    def test_edge_cases(self, matchers):
+        for matcher, oracle in matchers:
+            for tokens in _edge_units():
+                assert matcher.match_tokens(tokens) == oracle.match_tokens(tokens), tokens
+                assert matcher.match_spans(tokens) == oracle.match_spans(tokens), tokens
+
+    def test_synth_units(self, matchers, bundled_articles):
+        units = []
+        for article in bundled_articles[::10]:
+            units.append(headline_sentence(article).tokens)
+            units.extend(s.tokens for s in article_sentences(article))
+            units.append(tokenize(article.headline) + tokenize(article.content))
+        for matcher, oracle in matchers:
+            # Twice, so the second pass reads cached forms only.
+            for _ in range(2):
+                assert [matcher.match_tokens(u) for u in units] == [oracle.match_tokens(u) for u in units]
+                assert [matcher.match_spans(u) for u in units] == [oracle.match_spans(u) for u in units]
+
+    @given(st.lists(st.sampled_from(["BJP", "bjp", "Congress-led", "NDA-UPA", "United", "Progressive",
+                                     "Alliance", "-", "Delhi", "New", "voters", "Janata-Party"]), max_size=10))
+    def test_random_sequences(self, matchers, tokens):
+        for matcher, oracle in matchers:
+            assert matcher.match_tokens(tokens) == oracle.match_tokens(tokens)
+            assert matcher.match_spans(tokens) == oracle.match_spans(tokens)
