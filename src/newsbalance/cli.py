@@ -182,11 +182,20 @@ class RunContext:
 
     @cached_property
     def partitions(self) -> dict[tuple[str, int], list[Article]]:
-        """Each (outlet, year)'s articles in the date range, in sorted key order."""
+        """Each (outlet, year)'s articles in the date range, in sorted key order.
+
+        A partition's articles are sorted by (published, id, headline,
+        content), so that the order in which SGNS reads them does not depend
+        on record order: ids are unique only within a file, and two files may
+        hold one outlet's records.
+        """
         partitions: dict[tuple[str, int], list[Article]] = {}
         for article in self._corpora[0]:
             partitions.setdefault((article.outlet, article.published.year), []).append(article)
-        return {key: partitions[key] for key in sorted(partitions)}
+        return {
+            key: sorted(partitions[key], key=lambda a: (a.published, a.id, a.headline, a.content))
+            for key in sorted(partitions)
+        }
 
     def start_sgns(self) -> None:
         """Start the workers, then train the first outlet's years here."""

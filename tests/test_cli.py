@@ -6,6 +6,8 @@ import dataclasses
 import importlib.util
 import json
 import os
+import random
+import re
 import shutil
 import subprocess
 import sys
@@ -16,13 +18,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from newsbalance import corpus, geo, metrics, nlp, tagging, timeseries
-from newsbalance.cli import main
+from newsbalance.cli import RunContext, main
 from newsbalance.config import RunConfig
 from newsbalance.corpus import article_sentences, load_corpus, write_corpus
 from newsbalance.errors import ConfigError, ContractViolation
 from newsbalance.metrics import compute_all_series
 from newsbalance.tagging import build_matcher, default_party_lexicons
 from newsbalance.timeseries import cluster, distance_matrix, drop_missing, z_normalize
+
+from conftest import make_article
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SAMPLE_CONFIG = REPO_ROOT / "sample" / "config.json"
@@ -347,6 +351,61 @@ def test_standalone_commands_equal_report(two_year_dir, tmp_path):
         }
         del alone[Path(command, "provenance.json")], in_report[Path(command, "provenance.json")]
         assert alone == in_report, command
+
+
+def _report_tree(config: Path, out: Path) -> dict[Path, bytes]:
+    """Every file `report` writes, with the values of generated_at and config_hash blanked."""
+    assert main(["report", "--config", str(config), "--out", str(out)]) == 0
+    stamp = re.compile(rb'"(generated_at|config_hash)": "[^"]*"')
+    return {p.relative_to(out): stamp.sub(b"", p.read_bytes()) for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def test_report_is_independent_of_record_order(two_year_dir, tmp_path):
+    """Shuffled records, and each outlet's records split across two files, give
+    the report tree of the archive as written, `.nbe` files included."""
+    raw = json.loads((two_year_dir / "config.json").read_text())
+    rng = random.Random(3)
+    shuffled, split = tmp_path / "shuffled", tmp_path / "split"
+    (shuffled / "corpus").mkdir(parents=True)
+    (split / "corpus").mkdir(parents=True)
+    split_corpora = {}
+    for outlet, relative in raw["corpora"].items():
+        lines = (two_year_dir / relative).read_text(encoding="utf-8").splitlines(keepends=True)
+        rng.shuffle(lines)
+        (shuffled / relative).write_text("".join(lines), encoding="utf-8")
+        # The second file's records keep their own `outlet` field.
+        for name, part in ((outlet, lines[::2]), (f"{outlet}-more", lines[1::2])):
+            (split / "corpus" / f"{name}.jsonl").write_text("".join(part), encoding="utf-8")
+            split_corpora[name] = f"corpus/{name}.jsonl"
+    shutil.copy(two_year_dir / "config.json", shuffled / "config.json")
+    (split / "config.json").write_text(json.dumps({**raw, "corpora": split_corpora}), encoding="utf-8")
+
+    expected = _report_tree(two_year_dir / "config.json", tmp_path / "out")
+    assert sum(p.suffix == ".nbe" for p in expected) == 6
+    for variant in (shuffled, split):
+        actual = _report_tree(variant / "config.json", tmp_path / f"out-{variant.name}")
+        assert sorted(p for p in expected if expected[p] != actual.get(p)) == [], variant.name
+        assert actual.keys() == expected.keys(), variant.name
+
+
+def test_partition_order_is_total(tmp_path):
+    """Articles that share outlet, date and id across files take one order."""
+    articles = [
+        make_article(id="x", headline="b", content="One two."),
+        make_article(id="x", headline="a", content="Three four."),
+        make_article(id="x", headline="a", content="Five six."),
+        make_article(id="w", published="2010-01-20"),
+    ]
+    files = {"1.jsonl": articles[:1], "2.jsonl": articles[1:2], "3.jsonl": articles[:1:-1]}
+    for name, part in files.items():
+        write_corpus(part, tmp_path / name)
+    orders = []
+    # Files load in the order of their config keys.
+    for names in (["1.jsonl", "2.jsonl", "3.jsonl"], ["3.jsonl", "2.jsonl", "1.jsonl"]):
+        cfg = RunConfig.from_dict({"corpora": dict(zip("abc", names))}, tmp_path)
+        with RunContext(cfg) as ctx:
+            orders.append(ctx.partitions)
+    assert orders[0] == orders[1] == {("daily-alpha", 2010): [articles[2], articles[1], articles[0], articles[3]]}
 
 
 def _count_calls(monkeypatch, module, name: str, counts: Counter) -> None:
