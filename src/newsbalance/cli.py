@@ -223,9 +223,11 @@ class RunContext:
             )
             for index, (outlet, years) in enumerate(_outlet_years(self.partitions))
         ]
-        workers = self._sgns_workers
-        workers = max(0, min(_sgns_worker_count(len(jobs)) if workers is None else workers, len(jobs) - 1))
-        if workers:
+        if self._sgns_workers is None:
+            workers = _sgns_worker_count(len(jobs))
+        else:
+            workers = min(self._sgns_workers, len(jobs) - 1)
+        if workers > 0:
             self._workers = SgnsWorkers([jobs[1 + i :: workers] for i in range(workers)])
             jobs = jobs[:1]
         return [train_outlet(job) for job in jobs]

@@ -29,7 +29,7 @@ from .corpus import Article, article_sentences, headline_sentence
 from .embeddings import EmbeddingSpace, SgnsParams, train_sgns
 from .errors import NewsbalanceError
 
-__all__ = ["SgnsJob", "SgnsResult", "SgnsWorkers", "train_outlet", "year_sentences"]
+__all__ = ["SgnsJob", "SgnsResult", "SgnsWorkers", "train_outlet"]
 
 # The package's parent directory goes first on the worker's import path,
 # ahead of its working directory, so the worker imports this very package.
@@ -56,7 +56,7 @@ class SgnsResult:
     seconds: float
 
 
-def year_sentences(articles: Sequence[Article]) -> list[list[str]]:
+def _year_sentences(articles: Sequence[Article]) -> list[list[str]]:
     """The lowercased tokens of every non-empty headline and content sentence."""
     sentences = []
     for article in articles:
@@ -72,7 +72,7 @@ def train_outlet(job: SgnsJob) -> SgnsResult:
     spaces = []
     tokens = 0
     for year, seed, articles in job.years:
-        sentences = year_sentences(articles)
+        sentences = _year_sentences(articles)
         tokens += sum(len(s) for s in sentences)
         spaces.append(train_sgns(sentences, replace(job.params, seed=seed), year=year))
         del sentences  # so that the next year's sentences are not built beside these
