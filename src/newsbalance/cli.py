@@ -129,11 +129,11 @@ class RunContext:
     goes when the run does.
     """
 
-    def __init__(self, cfg: RunConfig, sgns_workers: int | None = None):
+    def __init__(self, cfg: RunConfig):
         self.cfg = cfg
-        # None: `_sgns_worker_count` of the outlets; 0 trains every outlet here.
-        self._sgns_workers = sgns_workers
         self._workers: SgnsWorkers | None = None
+        # The first outlet's results, once `start_sgns` has trained them here.
+        self._sgns_here: list[SgnsResult] | None = None
 
     def __enter__(self) -> "RunContext":
         return self
@@ -198,11 +198,16 @@ class RunContext:
         }
 
     def start_sgns(self) -> None:
-        """Start the workers, then train the first outlet's years here."""
-        self._sgns_here
+        """Start the workers, then train the first outlet's years here.
 
-    @cached_property
-    def _sgns_here(self) -> list[SgnsResult]:
+        An outlet with a single year fails the run before any model trains.
+        """
+        if self._sgns_here is not None:
+            return
+        by_outlet = list(_outlet_years(self.partitions))
+        for outlet, years in by_outlet:
+            if len(years) < 2:
+                raise DataError(f"outlet {outlet}: popularity timeline needs >= 2 years")
         cfg = self.cfg
         embedding = cfg.embedding
         params = SgnsParams(
@@ -221,20 +226,18 @@ class RunContext:
                 ),
                 params,
             )
-            for index, (outlet, years) in enumerate(_outlet_years(self.partitions))
+            for index, (outlet, years) in enumerate(by_outlet)
         ]
-        if self._sgns_workers is None:
-            workers = _sgns_worker_count(len(jobs))
-        else:
-            workers = min(self._sgns_workers, len(jobs) - 1)
+        workers = _sgns_worker_count(len(jobs))
         if workers > 0:
             self._workers = SgnsWorkers([jobs[1 + i :: workers] for i in range(workers)])
             jobs = jobs[:1]
-        return [train_outlet(job) for job in jobs]
+        self._sgns_here = [train_outlet(job) for job in jobs]
 
     @cached_property
     def sgns_spaces(self) -> dict[str, tuple[EmbeddingSpace, ...]]:
         """{outlet: its yearly spaces in year order}, once every worker is done."""
+        self.start_sgns()
         trained = [("this process", self._sgns_here)]
         if self._workers is not None:
             shares = self._workers.results()
@@ -414,8 +417,6 @@ def cmd_weat(ctx: RunContext, out_base: Path) -> dict:
     for outlet, spaces in ctx.sgns_spaces.items():
         for space in spaces:
             save_binary(space, directory / f"{outlet}_{space.year}.nbe")
-        if len(spaces) < 2:
-            raise DataError(f"outlet {outlet}: popularity timeline needs >= 2 years")
         timeline = popularity_timeline(
             spaces, sets, anchor_count=cfg.embedding.anchor_count, mode=cfg.embedding.alignment
         )

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from newsbalance import training
+from newsbalance import cli, training
 from newsbalance.cli import RunContext, _embedding_seed, cmd_weat, main
 from newsbalance.config import RunConfig
 from newsbalance.corpus import article_sentences, headline_sentence, load_corpus, write_corpus
@@ -64,10 +64,11 @@ def _config(archive: Path, tmp_path: Path, **embedding) -> Path:
 
 
 @pytest.mark.parametrize("workers", [0, 1, 2])
-def test_nbe_bytes_equal_inline_training(archive, tmp_path, workers, deadline):
+def test_nbe_bytes_equal_inline_training(archive, tmp_path, monkeypatch, workers, deadline):
     """Every `.nbe` file equals train_sgns called here on its partition's sentences."""
+    _cpus(monkeypatch, workers + 1)
     cfg = RunConfig.from_file(archive / "config.json")
-    with RunContext(cfg, sgns_workers=workers) as ctx:
+    with RunContext(cfg) as ctx:
         cmd_weat(ctx, tmp_path / "out")
     _assert_no_child_left()
 
@@ -121,6 +122,28 @@ def test_worker_data_error_has_the_inline_message(archive, tmp_path, monkeypatch
         messages[cpus] = capsys.readouterr().err
         _assert_no_child_left()
     assert messages[1] == messages[2] == "data error: vocabulary empty after min_count=40 filtering\n"
+
+
+def test_one_year_outlet_fails_before_any_training(archive, tmp_path, monkeypatch, capsys, deadline):
+    """`report` names the one-year outlet, and neither trains nor writes a text artifact first."""
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    raw = json.loads((archive / "config.json").read_text())
+    for outlet, relative in raw["corpora"].items():
+        articles, _ = load_corpus(archive / relative)
+        if outlet == "daily-gamma":
+            articles = [a for a in articles if a.published.year == 2010]
+        write_corpus(articles, corpus_dir / f"{outlet}.jsonl")
+        raw["corpora"][outlet] = str(corpus_dir / f"{outlet}.jsonl")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(cli, "train_outlet", None)  # a call would be a TypeError: exit 3
+    monkeypatch.setattr(cli, "SgnsWorkers", None)
+    assert main(["report", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "data error: outlet daily-gamma: popularity timeline needs >= 2 years\n"
+    assert not (tmp_path / "out" / "metrics").exists()
+    _assert_no_child_left()
 
 
 def test_dead_worker_is_an_internal_error(archive, tmp_path, monkeypatch, capsys, deadline):
