@@ -81,6 +81,12 @@ def expand_hyphens(tokens: Sequence[str]) -> list[str]:
     return expanded
 
 
+# Token types a matcher keeps forms for. A type's forms take about 260 bytes
+# (measured on 100k random mixed-case tokens), so a matcher keeps at most
+# about 4 MB of them.
+_FORMS_LIMIT = 1 << 14
+
+
 class PhraseMatcher:
     """Matches labeled phrases as whole-token subsequences.
 
@@ -90,7 +96,9 @@ class PhraseMatcher:
 
     Each token type's hyphen-split parts, their lowercase forms and the parts
     at which a phrase may start are worked out once per matcher and kept, so
-    a match reads them and compares phrases only at those parts.
+    a match reads them and compares phrases only at those parts. The matcher
+    forgets them all when it holds `_FORMS_LIMIT` types, so an archive's
+    vocabulary does not set its size.
     """
 
     def __init__(self, phrases: Iterable[tuple[str, str]], acronyms_case_sensitive: bool = True):
@@ -112,6 +120,8 @@ class PhraseMatcher:
         self._forms: dict[str, tuple] = {}
 
     def _token_forms(self, token: str) -> tuple:
+        if len(self._forms) >= _FORMS_LIMIT:
+            self._forms.clear()
         parts = tuple(expand_hyphens((token,)))
         folded = tuple(part.lower() for part in parts)
         starts = tuple(

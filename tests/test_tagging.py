@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
+from newsbalance import tagging
 from newsbalance.corpus import MonthKey, article_sentences, headline_sentence, tokenize
 from newsbalance.errors import ConfigError, ContractViolation
 from newsbalance.geo import CITY, STATE, Gazetteer
@@ -251,6 +252,15 @@ class TestPhraseMatcherOracle:
             for _ in range(2):
                 assert [matcher.match_tokens(u) for u in units] == [oracle.match_tokens(u) for u in units]
                 assert [matcher.match_spans(u) for u in units] == [oracle.match_spans(u) for u in units]
+
+    def test_forms_stay_bounded(self, lexicons, monkeypatch):
+        monkeypatch.setattr(tagging, "_FORMS_LIMIT", 3)
+        party = [(lex.party_id, phrase) for lex in lexicons for phrase in lex.phrases]
+        matcher, oracle = PhraseMatcher(party), ExpandEachCallPhraseMatcher(party)
+        for tokens in _edge_units() * 2:
+            assert matcher.match_tokens(tokens) == oracle.match_tokens(tokens), tokens
+            assert matcher.match_spans(tokens) == oracle.match_spans(tokens), tokens
+            assert len(matcher._forms) <= 3
 
     @given(st.lists(st.sampled_from(["BJP", "bjp", "Congress-led", "NDA-UPA", "United", "Progressive",
                                      "Alliance", "-", "Delhi", "New", "voters", "Janata-Party"]), max_size=10))
