@@ -5,10 +5,10 @@ command reads the same JSON config and writes its artifacts plus a provenance
 block (config hash, seed, tool version) under its own subdirectory, so any
 subset of commands can run independently. The commands of one run share a
 `RunContext`: it loads and filters the corpora once, groups them into
-(outlet, year) partitions, keeps each article's units, party tags, feature
-rows and place sets, computes the metric series once for `metrics` and
-`cluster`, and trains the yearly SGNS models for `weat`, each made on first
-use, so a command run alone builds only what it reads. `report` runs
+(outlet, year) partitions, keeps each article's units, party tags and place
+sets, computes the metric series once for `metrics` and `cluster`, and
+trains the yearly SGNS models for `weat`, each made on first use, so a
+command run alone builds only what it reads. `report` runs
 everything on one context and bundles the results into one deterministic JSON
 file. It starts the SGNS training first: worker processes train every outlet
 but the first, and this process trains the first before it builds the text
@@ -119,8 +119,8 @@ class RunContext:
     """What one run loads and derives from its config, each made on first use.
 
     The corpora are read once and grouped into (outlet, year) partitions. The
-    text table then keeps each article's units, party tags, feature rows and
-    place sets for the rest of the run. The metric series are computed once,
+    text table then keeps each article's units, party tags and place sets
+    for the rest of the run. The metric series are computed once,
     for `metrics` and `cluster`; `report` drops them once `cluster` is done.
     The yearly SGNS models train in worker processes, all but the first
     outlet's, and in this process, which trains the first outlet's when
@@ -232,7 +232,7 @@ class RunContext:
         if workers > 0:
             self._workers = SgnsWorkers([jobs[1 + i :: workers] for i in range(workers)])
             jobs = jobs[:1]
-        self._sgns_here = [train_outlet(job) for job in jobs]
+        self._sgns_here = [train_outlet(job, None) for job in jobs]
 
     @cached_property
     def sgns_spaces(self) -> dict[str, tuple[EmbeddingSpace, ...]]:

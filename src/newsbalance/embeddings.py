@@ -299,8 +299,8 @@ def _shared_anchors(
 def align(
     source: EmbeddingSpace,
     target: EmbeddingSpace,
-    anchor_count: int = 1000,
-    mode: str = "procrustes",
+    anchor_count: int,
+    mode: str,
     exclude: Iterable[str] = (),
 ) -> AlignmentTransform:
     """Fit a transform taking the source space onto the target space.
@@ -413,8 +413,8 @@ class PopularityTimeline:
 def popularity_timeline(
     spaces: Sequence[EmbeddingSpace],
     sets: AssociationSets,
-    anchor_count: int = 1000,
-    mode: str = "procrustes",
+    anchor_count: int,
+    mode: str,
 ) -> PopularityTimeline:
     """Differential-association series per party group, aligned to the last year.
 

@@ -5,6 +5,10 @@ computed between the two parties' aggregated documents. Positive values lean
 toward the first configured party, negative toward the second; a month in
 which both documents score zero carries no information and is marked missing
 rather than balanced.
+
+A document holds exact integer sums over its units, so its scores do not
+depend on the order or grouping of the units, and the pooled document is the
+field-wise sum of the month documents.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from .nlp import (
 from .tagging import (
     CONTENT,
     HEADLINE,
+    SCALE,
     MonthlyDocument,
     PartyLexicon,
     PhraseMatcher,
@@ -158,61 +163,30 @@ def imbalance(score_b: float, score_c: float) -> float | None:
     return (score_b - score_c) / total
 
 
-def score_document(
-    doc: MonthlyDocument,
-    metric: MetricId,
-    suite: AnalyzerSuite,
-    table: TextTable | None = None,
-) -> float | None:
+def score_document(doc: MonthlyDocument, metric: MetricId) -> float | None:
     """Score one monthly document under one metric.
 
     Coverage metrics return 0 for an empty document; the weighted-mean metrics
-    (sentiment, subjectivity, superlatives/comparatives) return None because a
-    mean over nothing is undefined. `table` keeps the units' feature rows;
-    without one, a table is made for this call.
+    (sentiment, subjectivity, superlatives/comparatives) return None for a
+    document without words, because a mean over nothing is undefined. Each
+    weighted mean is Σ word_count·value / Σ word_count, rounded once from
+    the document's exact sums; superlatives/comparatives score
+    100·hits / words.
     """
     if doc.mode != metric.mode:
         raise ContractViolation(f"{metric.value} needs a {metric.mode}-mode document, got {doc.mode}")
     if metric is MetricId.COV_HEAD:
-        return float(len(doc.units))
+        return float(doc.units)
     if metric is MetricId.COV_CONTENT:
-        return float(doc.total_words)
-    if table is None:
-        table = TextTable()
+        return float(doc.words)
     if metric is MetricId.POV:
-        total = 0
-        for unit in doc.units:
-            if doc.party_id in table.features(unit, suite).speakers:
-                total += unit.word_count
-        return float(total)
-    return _weighted_mean_score(doc, metric, suite, table)
-
-
-def _weighted_mean_score(
-    doc: MonthlyDocument, metric: MetricId, suite: AnalyzerSuite, table: TextTable
-) -> float | None:
-    weight_total = 0
-    weighted_sum = 0.0
-    for unit in doc.units:
-        weight = unit.word_count
-        if weight == 0:
-            continue
-        row = table.features(unit, suite)
-        if metric is MetricId.POS_SENT:
-            value = row.positive
-        elif metric is MetricId.NEG_SENT:
-            value = row.negative
-        elif metric is MetricId.SUBJ:
-            value = row.subjectivity
-        elif metric is MetricId.SUPCOMP:
-            value = 100.0 * row.degree_hits / weight
-        else:  # pragma: no cover - closed enumeration
-            raise ContractViolation(f"unhandled metric {metric}")
-        weighted_sum += weight * value
-        weight_total += weight
-    if weight_total == 0:
+        return float(doc.pov_words)
+    if doc.words == 0:
         return None
-    return weighted_sum / weight_total
+    if metric is MetricId.SUPCOMP:
+        return 100 * doc.degree_hits / doc.words
+    total = {MetricId.POS_SENT: doc.positive, MetricId.NEG_SENT: doc.negative, MetricId.SUBJ: doc.subjectivity}
+    return total[metric] / (SCALE * doc.words)
 
 
 def month_span(articles: Iterable[Article]) -> list[MonthKey]:
@@ -228,12 +202,10 @@ def month_span(articles: Iterable[Article]) -> list[MonthKey]:
     return span
 
 
-def _directed(
-    doc_b: MonthlyDocument, doc_c: MonthlyDocument, metric: MetricId, suite: AnalyzerSuite, table: TextTable | None
-) -> ImbalancePoint:
+def _directed(doc_b: MonthlyDocument, doc_c: MonthlyDocument, metric: MetricId) -> ImbalancePoint:
     """Both documents' scores (an undefined score counts as 0) and their imbalance."""
-    score_b = score_document(doc_b, metric, suite, table)
-    score_c = score_document(doc_c, metric, suite, table)
+    score_b = score_document(doc_b, metric)
+    score_c = score_document(doc_c, metric)
     sb = score_b if score_b is not None else 0.0
     sc = score_c if score_c is not None else 0.0
     return ImbalancePoint(month=doc_b.month, value=imbalance(sb, sc), score_b=sb, score_c=sc)
@@ -242,11 +214,13 @@ def _directed(
 def _pool(
     docs: Mapping[tuple[MonthKey, str], MonthlyDocument], party_id: str, mode: str
 ) -> MonthlyDocument:
-    """All of one party's units over every month, in (article id, index) order."""
-    units = [unit for (_, owner), doc in docs.items() if owner == party_id for unit in doc.units]
-    units.sort(key=lambda u: (u.article_id, u.index))
+    """One party's document over every month: the sum of its month documents."""
     first = min((month for month, _ in docs), default=MonthKey(1970, 1))
-    return MonthlyDocument(month=first, party_id=party_id, mode=mode, units=units)
+    pooled = MonthlyDocument(month=first, party_id=party_id, mode=mode)
+    for (_, owner), doc in docs.items():
+        if owner == party_id:
+            pooled.merge(doc)
+    return pooled
 
 
 def _check_party_pair(lexicons: Sequence[PartyLexicon]) -> tuple[str, str]:
@@ -267,8 +241,8 @@ def compute_all_series(
     Returns {metric value: {outlet: series}}, each series carrying its pooled
     score. Each outlet's monthly documents are built once per mode and shared
     by that mode's metrics. The result is independent of article input
-    order. `table` keeps the tagged units and their feature rows; without
-    one, a table is made for this call.
+    order. `table` keeps the tagged units; without one, a table is made for
+    this call.
     """
     metrics = list(MetricId) if metrics is None else list(metrics)
     if not articles:
@@ -286,40 +260,24 @@ def compute_all_series(
     result: dict[str, dict[str, ImbalanceSeries]] = {m.value: {} for m in metrics}
     for outlet in sorted(by_outlet):
         for mode in sorted({m.mode for m in metrics}):
-            docs = build_monthly_documents(by_outlet[outlet], lexicons, mode, table)
+            docs = build_monthly_documents(by_outlet[outlet], lexicons, mode, suite, table)
             pooled_b, pooled_c = _pool(docs, party_b, mode), _pool(docs, party_c, mode)
             for metric in metrics:
                 if metric.mode != mode:
                     continue
                 series = ImbalanceSeries(metric=metric, outlet=outlet)
-                for month in span:
-                    series.points.append(
-                        _directed(
-                            get_document(docs, month, party_b, mode),
-                            get_document(docs, month, party_c, mode),
-                            metric,
-                            suite,
-                            table,
-                        )
-                    )
-                series.pooled = aggregate_pooled(pooled_b, pooled_c, metric, suite, table)
+                series.points = [
+                    _directed(get_document(docs, m, party_b, mode), get_document(docs, m, party_c, mode), metric)
+                    for m in span
+                ]
+                series.pooled = aggregate_pooled(pooled_b, pooled_c, metric)
                 result[metric.value][outlet] = series
     return result
 
 
-def aggregate_pooled(
-    pooled_b: MonthlyDocument,
-    pooled_c: MonthlyDocument,
-    metric: MetricId,
-    suite: AnalyzerSuite,
-    table: TextTable | None = None,
-) -> float | None:
-    """Directed score of the two parties' documents pooled over all months.
-
-    `table` keeps the units' feature rows; without one, each document is
-    scored with a table of its own.
-    """
-    return _directed(pooled_b, pooled_c, metric, suite, table).value
+def aggregate_pooled(pooled_b: MonthlyDocument, pooled_c: MonthlyDocument, metric: MetricId) -> float | None:
+    """Directed score of the two parties' documents pooled over all months."""
+    return _directed(pooled_b, pooled_c, metric).value
 
 
 def aggregate_mean_abs(series: ImbalanceSeries) -> float | None:

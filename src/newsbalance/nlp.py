@@ -110,10 +110,7 @@ class ValenceLexicon:
                 if len(parts) < 2:
                     raise ConfigError(f"{path}:{lineno}: expected at least 2 tab-separated fields")
                 token = parts[0].lower()
-                try:
-                    score = float(parts[1])
-                except ValueError as exc:
-                    raise ConfigError(f"{path}:{lineno}: bad score {parts[1]!r}") from exc
+                score = _score(path, lineno, parts[1])
                 kind = parts[2].strip() if len(parts) > 2 else ""
                 if kind == "booster":
                     boosters[token] = score
@@ -126,12 +123,25 @@ class ValenceLexicon:
         return cls(valences=valences, boosters=boosters, negators=frozenset(negators))
 
 
+def _score(path: str | Path, lineno: int, text: str) -> float:
+    """A lexicon row's score: a finite number, else a config error."""
+    try:
+        score = float(text)
+    except ValueError as exc:
+        raise ConfigError(f"{path}:{lineno}: bad score {text!r}") from exc
+    if not math.isfinite(score):
+        raise ConfigError(f"{path}:{lineno}: score {text!r} is not finite")
+    return score
+
+
 def default_valence_lexicon() -> ValenceLexicon:
     return ValenceLexicon.load(data_path("valence_lexicon.tsv"), data_path("valence_modifiers.tsv"))
 
 
 def _normalize(total: float, alpha: float = NORMALIZE_ALPHA) -> float:
-    score = total / math.sqrt(total * total + alpha)
+    square = total * total
+    # Where the square overflows, the score is 1 to double precision.
+    score = total / math.sqrt(square + alpha) if square != math.inf else 1.0
     return min(max(score, 0.0), 1.0)
 
 
@@ -182,7 +192,7 @@ def load_subjectivity_lexicon(path: str | Path) -> dict:
         parts = line.split("\t")
         if len(parts) < 2:
             raise ConfigError(f"{path}:{lineno}: expected 2 tab-separated fields")
-        score = float(parts[1])
+        score = _score(path, lineno, parts[1])
         if not 0.0 <= score <= 1.0:
             raise ConfigError(f"{path}:{lineno}: subjectivity {score} outside [0, 1]")
         lexicon[parts[0].lower()] = score

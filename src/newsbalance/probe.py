@@ -37,7 +37,7 @@ _UNSEEN = -2
 
 
 def popularity_pair(
-    distribution: Mapping[str, float], party_b: str = "BJP", party_c: str = "Congress"
+    distribution: Mapping[str, float], party_b: str, party_c: str
 ) -> tuple[float, float]:
     """Each party's vote preference (its mass at the mask slot) normalized over
     both parties; the second is defined as 1 - the first, so the pair sums to
@@ -60,8 +60,8 @@ def _top_k(distribution: Mapping[str, float], k: int) -> list[str]:
 def token_delta_ranking(
     early: Mapping[str, float],
     late: Mapping[str, float],
-    k: int = 50,
-    m: int = 15,
+    k: int,
+    m: int,
 ) -> tuple[list[tuple[str, float]], list[tuple[str, float]]]:
     """Rising and falling completions between two slot distributions of one prompt.
 
@@ -89,7 +89,7 @@ class NgramMaskBackend:
     spans two sentences. A query counts only the contexts it reads.
     """
 
-    def __init__(self, sentences: Iterable[Sequence[str]], order: int = 3, smoothing: float = 0.01):
+    def __init__(self, sentences: Iterable[Sequence[str]], order: int, smoothing: float):
         if order < 2:
             raise ContractViolation(f"order must be >= 2, got {order}")
         if smoothing <= 0:
@@ -146,8 +146,8 @@ class NgramMaskBackend:
 
 def ngram_backend(
     articles: Iterable[Article],
-    order: int = 3,
-    smoothing: float = 0.01,
+    order: int,
+    smoothing: float,
     table: TextTable | None = None,
 ) -> NgramMaskBackend:
     """Build the backend from a corpus slice (headlines plus content).

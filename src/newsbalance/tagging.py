@@ -8,15 +8,15 @@ case-insensitively. Hyphenated compounds are split before matching, so
 "Congress-led" still mentions "Congress".
 
 A `TextTable` keeps what a run derives from each article (units, party tags,
-feature rows, place sets), so the commands that read them split, match and
-score each article once.
+place sets), so the commands that read them split and match each article
+once. A `MonthlyDocument` keeps exact integer sums over its units, not units.
 """
 
 from __future__ import annotations
 
 import json
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -56,18 +56,51 @@ class PartyLexicon:
             raise ConfigError(f"lexicon for {self.party_id!r} has no phrases")
 
 
+# Every finite double is a multiple of 2**-1074: times this scale, an exact integer.
+SCALE = 1 << 1074
+
+
+def _scaled(value: float) -> int:
+    """The finite `value` times `SCALE`, exactly."""
+    n, d = value.as_integer_ratio()
+    return n * (SCALE // d)
+
+
 @dataclass
 class MonthlyDocument:
-    """All units (headlines or content sentences) matching one party in one month."""
+    """Exact sums over the units (headlines or content sentences) that match
+    one party in one month: counts of units and words, and over content units
+    the words reporting the party's speech, the degree hits, and
+    Σ word_count·value times `SCALE` for each of three feature values. Integer
+    sums do not depend on the order or grouping of their terms."""
 
     month: MonthKey
     party_id: str
     mode: str
-    units: list[Sentence] = field(default_factory=list)
+    units: int = 0
+    words: int = 0
+    pov_words: int = 0
+    degree_hits: int = 0
+    positive: int = 0
+    negative: int = 0
+    subjectivity: int = 0
 
-    @property
-    def total_words(self) -> int:
-        return sum(unit.word_count for unit in self.units)
+    def add(self, words: int, row) -> None:
+        """Count one unit of `words` words with its feature row, or None for a headline."""
+        self.units += 1
+        self.words += words
+        if row is not None:
+            if self.party_id in row.speakers:
+                self.pov_words += words
+            self.degree_hits += row.degree_hits
+            self.positive += words * _scaled(row.positive)
+            self.negative += words * _scaled(row.negative)
+            self.subjectivity += words * _scaled(row.subjectivity)
+
+    def merge(self, other: "MonthlyDocument") -> None:
+        """Add the other document's sums (every field after `mode`) to this one's."""
+        for name in [f.name for f in fields(self)[3:]]:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
 
 
 def expand_hyphens(tokens: Sequence[str]) -> list[str]:
@@ -215,17 +248,18 @@ def build_matcher(lexicons: Sequence[PartyLexicon]) -> PhraseMatcher:
 class TextTable:
     """What a run derives from each article, made on first request and kept.
 
-    The table holds each article's units, the party tags of its units, the
-    feature row of each scored unit and the article's place set per gazetteer
-    level. An entry is made on first request, so a command builds only what
-    it reads, and a run that reads an entry twice builds it once. Entries are
+    The table holds each article's units, the party tags of its units and
+    the article's place set per gazetteer level. It keeps no feature rows:
+    `build_monthly_documents` reads each unit's row once and keeps only sums.
+    An entry is made on first request, so a command builds only what it
+    reads, and a run that reads an entry twice builds it once. Entries are
     per unit or article, never per sentence text, so two articles that share
     a sentence still cost two units.
 
-    The tools that make entries (party lexicons, analyzer suite, gazetteer)
-    come with each request, so the table loads none of them until a request
-    needs it. The first tool of each kind fills its entries; passing another
-    one later is a ContractViolation, because the kept entries are not its own.
+    The tools that make entries (party lexicons, gazetteer) come with each
+    request, so the table loads none of them until a request needs it. The
+    first tool of each kind fills its entries; passing another one later is
+    a ContractViolation, because the kept entries are not its own.
     """
 
     def __init__(self) -> None:
@@ -235,8 +269,6 @@ class TextTable:
         self._tags: dict[tuple[Article, str], tuple[frozenset[str], ...]] = {}
         # One shared frozenset per distinct tag set; most units have the empty one.
         self._tag_sets: dict[frozenset[str], frozenset[str]] = {}
-        self._suite = None
-        self._rows: dict[Sentence, object] = {}
         self._gazetteer = None
         self._place_matchers: dict[str, PhraseMatcher] = {}
         self._places: dict[tuple[Article, str], frozenset[str]] = {}
@@ -268,17 +300,6 @@ class TextTable:
             tags = self._tags[(article, mode)] = tuple(found_sets)
         return zip(units, tags)
 
-    def features(self, unit: Sentence, suite):
-        """The unit's feature row, as `suite.features` makes it."""
-        if self._suite is None:
-            self._suite = suite
-        elif suite is not self._suite:
-            raise ContractViolation("the text table's feature rows come from another analyzer suite")
-        row = self._rows.get(unit)
-        if row is None:
-            row = self._rows[unit] = suite.features(unit)
-        return row
-
     def places(self, article: Article, level: str, gazetteer) -> frozenset[str]:
         """Places at this gazetteer level that the article's headline or content names."""
         if self._gazetteer is None:
@@ -290,7 +311,9 @@ class TextTable:
             matcher = self._place_matchers.get(level)
             if matcher is None:
                 matcher = self._place_matchers[level] = gazetteer.matcher(level)
-            tokens = tokenize(article.headline) + tokenize(article.content)
+            # The content units' tokens, joined, are the content's tokens.
+            headline, content = self.units(article)
+            tokens = [token for unit in (headline, *content) for token in unit.tokens]
             found = self._places[(article, level)] = frozenset(matcher.match_tokens(tokens))
         return found
 
@@ -299,32 +322,33 @@ def build_monthly_documents(
     articles: Iterable[Article],
     lexicons: Sequence[PartyLexicon],
     mode: str,
-    table: TextTable | None = None,
+    suite,
+    table: TextTable,
 ) -> dict[tuple[MonthKey, str], MonthlyDocument]:
-    """Bucket matching units into per-(month, party) documents.
+    """Sum the matching units into per-(month, party) documents, in one pass.
 
     In headline mode the whole headline is the unit (one per matching article
-    per party); in content mode every matching sentence is a unit. A unit that
-    matches several parties is included in each of their documents. `table`
-    supplies the tagged units; without one, a table is made for this call.
+    per party); in content mode every matching sentence is a unit, and
+    `suite.features` gives its feature row once. A unit that matches several
+    parties is added to each of their documents. `table` supplies the tagged
+    units. The sums are exact, so the documents do not depend on the order
+    of the articles.
     """
     if mode not in _MODES:
         raise ConfigError(f"unknown mode {mode!r}; expected one of {_MODES}")
-    if table is None:
-        table = TextTable()
     docs: dict[tuple[MonthKey, str], MonthlyDocument] = {}
     for article in articles:
         month = month_key(article.published)
         for unit, parties in table.tagged(article, mode, lexicons):
+            if not parties:
+                continue
+            row = suite.features(unit) if mode == CONTENT else None
             for party_id in parties:
                 key = (month, party_id)
                 doc = docs.get(key)
                 if doc is None:
                     doc = docs[key] = MonthlyDocument(month=month, party_id=party_id, mode=mode)
-                doc.units.append(unit)
-    # Deterministic unit order regardless of input order (article ids are unique).
-    for doc in docs.values():
-        doc.units.sort(key=lambda u: (u.article_id, u.index))
+                doc.add(unit.word_count, row)
     return docs
 
 
@@ -335,7 +359,4 @@ def get_document(
     mode: str,
 ) -> MonthlyDocument:
     """Fetch a document, falling back to an empty one for uncovered months."""
-    doc = docs.get((month, party_id))
-    if doc is None:
-        return MonthlyDocument(month=month, party_id=party_id, mode=mode)
-    return doc
+    return docs.get((month, party_id)) or MonthlyDocument(month=month, party_id=party_id, mode=mode)

@@ -16,6 +16,7 @@ outlive the command that started it.
 
 from __future__ import annotations
 
+import os
 import pickle
 import subprocess
 import sys
@@ -33,6 +34,7 @@ __all__ = ["SgnsJob", "SgnsResult", "SgnsWorkers", "train_outlet"]
 
 # The package's parent directory goes first on the worker's import path,
 # ahead of its working directory, so the worker imports this very package.
+# The argument after it is the pid of the process that starts the worker.
 _PACKAGE_ROOT = str(Path(__file__).resolve().parent.parent)
 _WORKER_CODE = "import sys; sys.path.insert(0, sys.argv[1]); from newsbalance.training import serve; serve()"
 
@@ -66,12 +68,15 @@ def _year_sentences(articles: Sequence[Article]) -> list[list[str]]:
     return sentences
 
 
-def train_outlet(job: SgnsJob) -> SgnsResult:
-    """Train each of the job's years in order."""
+def train_outlet(job: SgnsJob, parent: int | None) -> SgnsResult:
+    """Train each of the job's years in order. A worker passes the pid of the process
+    that started it, and exits before a year once that process is not its parent."""
     start = time.perf_counter()
     spaces = []
     tokens = 0
     for year, seed, articles in job.years:
+        if parent is not None and os.getppid() != parent:
+            raise SystemExit(f"SGNS worker {os.getpid()}: process {parent} that started it is gone")
         sentences = _year_sentences(articles)
         tokens += sum(len(s) for s in sentences)
         spaces.append(train_sgns(sentences, replace(job.params, seed=seed), year=year))
@@ -81,9 +86,10 @@ def train_outlet(job: SgnsJob) -> SgnsResult:
 
 def serve() -> None:
     """Worker entry point: train the pickled jobs on stdin, pickle the results to stdout."""
+    parent = int(sys.argv[2])
     jobs = pickle.load(sys.stdin.buffer)
     try:
-        results: list[SgnsResult] | NewsbalanceError = [train_outlet(job) for job in jobs]
+        results: list[SgnsResult] | NewsbalanceError = [train_outlet(job, parent) for job in jobs]
     except NewsbalanceError as exc:
         results = exc
     pickle.dump(results, sys.stdout.buffer, protocol=pickle.HIGHEST_PROTOCOL)
@@ -93,7 +99,9 @@ class SgnsWorkers:
     """One worker process per share of jobs, started at once.
 
     `results` waits for every worker; `close` stops and reaps any still
-    running, so no worker outlives its owner.
+    running, so no worker outlives its owner. An owner ended by a signal that
+    Python does not handle cannot close its workers; each then exits before
+    its next year.
     """
 
     def __init__(self, shares: Sequence[Sequence[SgnsJob]]):
@@ -113,7 +121,7 @@ class SgnsWorkers:
                 pickle.dump(list(share), jobs, protocol=pickle.HIGHEST_PROTOCOL)
                 jobs.seek(0)
                 process = subprocess.Popen(
-                    [sys.executable, "-c", _WORKER_CODE, _PACKAGE_ROOT], stdin=jobs, stdout=output
+                    [sys.executable, "-c", _WORKER_CODE, _PACKAGE_ROOT, str(os.getpid())], stdin=jobs, stdout=output
                 )
         except BaseException:
             output.close()

@@ -10,8 +10,9 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from typing import Iterable, Sequence
 
-from newsbalance.corpus import tokenize
+from newsbalance.corpus import Article, tokenize
 from newsbalance.errors import ConfigError, ContractViolation, DataError
+from newsbalance.metrics import FeatureRow, MetricId
 from newsbalance.probe import MASK
 from newsbalance.tagging import expand_hyphens
 
@@ -24,7 +25,7 @@ class CounterNgramMaskBackend:
     first-occurrence order and looks each conditional up.
     """
 
-    def __init__(self, sentences: Iterable[Sequence[str]], order: int = 3, smoothing: float = 0.01):
+    def __init__(self, sentences: Iterable[Sequence[str]], order: int, smoothing: float):
         if order < 2:
             raise ContractViolation(f"order must be >= 2, got {order}")
         if smoothing <= 0:
@@ -119,3 +120,44 @@ class ExpandEachCallPhraseMatcher:
                 if tuple(folded[i + 1 : i + 1 + len(rest)]) == rest:
                     spans.append((i, i + 1 + len(rest), label))
         return spans
+
+
+def float_sum_score(units: Sequence[tuple[int, FeatureRow]], party_id: str, metric: MetricId) -> float | None:
+    """`metrics.score_document` as it was before documents kept exact sums.
+
+    `units` are a document's (word count, feature row) pairs in the order the
+    document kept them. A weighted mean is a left-to-right float sum of
+    word count times value, divided by the summed word counts; a unit
+    without words is skipped.
+    """
+    if metric is MetricId.COV_HEAD:
+        return float(len(units))
+    if metric is MetricId.COV_CONTENT:
+        return float(sum(words for words, _ in units))
+    if metric is MetricId.POV:
+        return float(sum(words for words, row in units if party_id in row.speakers))
+    weight_total = 0
+    weighted_sum = 0.0
+    for weight, row in units:
+        if weight == 0:
+            continue
+        if metric is MetricId.POS_SENT:
+            value = row.positive
+        elif metric is MetricId.NEG_SENT:
+            value = row.negative
+        elif metric is MetricId.SUBJ:
+            value = row.subjectivity
+        else:
+            value = 100.0 * row.degree_hits / weight
+        weighted_sum += weight * value
+        weight_total += weight
+    if weight_total == 0:
+        return None
+    return weighted_sum / weight_total
+
+
+def whole_text_places(article: Article, level: str, gazetteer) -> frozenset[str]:
+    """`TextTable.places` as it was before it read the units' tokens: the
+    headline and the whole content tokenized again, then matched."""
+    tokens = tokenize(article.headline) + tokenize(article.content)
+    return frozenset(gazetteer.matcher(level).match_tokens(tokens))

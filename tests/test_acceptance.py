@@ -137,7 +137,7 @@ def test_criterion_05_procrustes_recovery():
         source = EmbeddingSpace(1, dim, {t: i for i, t in enumerate(vocab)}, base)
         target_rows = base @ rotation
         target = EmbeddingSpace(2, dim, {t: i for i, t in enumerate(vocab)}, target_rows)
-        transform = align(source, target, anchor_count=400)
+        transform = align(source, target, anchor_count=400, mode="procrustes")
         residual = np.abs(transform.apply_rows(base) - target_rows).max()
         assert residual < 1e-6, f"noiseless dim={dim}: {residual}"
 
@@ -146,7 +146,7 @@ def test_criterion_05_procrustes_recovery():
             2, dim, {t: i for i, t in enumerate(vocab)},
             target_rows + rng.normal(0, sigma, size=target_rows.shape),
         )
-        transform = align(source, noisy, anchor_count=400)
+        transform = align(source, noisy, anchor_count=400, mode="procrustes")
         rms = float(np.sqrt(np.mean((transform.apply_rows(base) - noisy.vectors) ** 2)))
         assert rms < 10 * sigma, f"noisy dim={dim}: rms {rms}"
     passed(5, "rotation recovered at dims 10/50; noisy residual under 10x the noise floor")
@@ -232,7 +232,7 @@ def test_criterion_07_planted_popularity_crossover():
                 seed=trial * 100 + year, subsample=0.0, chunk_pairs=256,
             )
             spaces.append(train_sgns(_drift_year_sentences(rng, p_good), params, year=year))
-        timeline = popularity_timeline(spaces, sets, anchor_count=40)
+        timeline = popularity_timeline(spaces, sets, anchor_count=40, mode="procrustes")
         if timeline.crossing_year() == 2:
             hits += 1
     elapsed = time.perf_counter() - start
@@ -280,7 +280,7 @@ def test_criterion_09_probe_arithmetic():
         make_article(id=f"c{i}", content="This election people will vote for Congress.")
         for i in range(15)
     ]
-    p_b, p_c = popularity_pair(ngram_backend(skewed).query(VOTE_PROMPT))
+    p_b, p_c = popularity_pair(ngram_backend(skewed, order=3, smoothing=0.01).query(VOTE_PROMPT), "BJP", "Congress")
     assert p_b + p_c == 1.0
     assert p_b > 0.5  # planted 70/30 direction
 
@@ -289,9 +289,11 @@ def test_criterion_09_probe_arithmetic():
             make_article(id=f"x{i}", content="This election people will vote for Congress.")
             for i in range(9)
         ]
-        + [make_article(id="y0", content="This election people will vote for BJP.")]
+        + [make_article(id="y0", content="This election people will vote for BJP.")],
+        order=3,
+        smoothing=0.01,
     )
-    assert popularity_pair(flipped.query(VOTE_PROMPT))[0] < 0.5
+    assert popularity_pair(flipped.query(VOTE_PROMPT), "BJP", "Congress")[0] < 0.5
 
     early = {"a": 0.40, "b": 0.10, "c": 0.05, "d": 0.25, "e": 0.20}
     late = {"a": 0.10, "b": 0.20, "c": 0.30, "d": 0.20, "e": 0.20}

@@ -103,6 +103,17 @@ class TestValidate:
         with pytest.raises(ConfigError, match="metrics"):
             RunConfig.from_file(config)
 
+    @pytest.mark.parametrize(
+        "key, text", [("valence", "good\tinf\n"), ("valence", "good\tnan\n"), ("subjectivity", "loud\tabc\n")]
+    )
+    def test_bad_lexicon_score_is_a_config_error(self, tmp_path, synth_dir, capsys, key, text):
+        lexicon = tmp_path / f"{key}.tsv"
+        lexicon.write_text(text, encoding="utf-8")
+        config = self._rewritten_config(synth_dir, tmp_path, analyzers={key: str(lexicon)})
+        assert main(["validate", "--config", str(config)]) == 1
+        assert main(["metrics", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {lexicon}:1: ")
+
     def test_one_place_states_list_rejected(self, tmp_path, synth_dir, capsys):
         states = tmp_path / "states.txt"
         states.write_text("Kerala\n", encoding="utf-8")
@@ -362,13 +373,15 @@ def _report_tree(config: Path, out: Path) -> dict[Path, bytes]:
 
 def test_report_is_independent_of_record_order(two_year_dir, tmp_path):
     """Shuffled records, and each outlet's records split across two files, give
-    the report tree of the archive as written, `.nbe` files included."""
+    the report tree of the archive as written, `.nbe` files included. Split
+    files whose records share ids give one tree whichever file loads first."""
     raw = json.loads((two_year_dir / "config.json").read_text())
     rng = random.Random(3)
-    shuffled, split = tmp_path / "shuffled", tmp_path / "split"
-    (shuffled / "corpus").mkdir(parents=True)
-    (split / "corpus").mkdir(parents=True)
+    shuffled, split, shared = tmp_path / "shuffled", tmp_path / "split", tmp_path / "shared"
+    for directory in (shuffled, split, shared):
+        (directory / "corpus").mkdir(parents=True)
     split_corpora = {}
+    shared_corpora = {}
     for outlet, relative in raw["corpora"].items():
         lines = (two_year_dir / relative).read_text(encoding="utf-8").splitlines(keepends=True)
         rng.shuffle(lines)
@@ -377,6 +390,15 @@ def test_report_is_independent_of_record_order(two_year_dir, tmp_path):
         for name, part in ((outlet, lines[::2]), (f"{outlet}-more", lines[1::2])):
             (split / "corpus" / f"{name}.jsonl").write_text("".join(part), encoding="utf-8")
             split_corpora[name] = f"corpus/{name}.jsonl"
+        # The second file reuses the first file's ids, so a month holds two
+        # articles of one outlet under each id.
+        first = [json.loads(line) for line in lines[::2]]
+        second = [{**json.loads(line), "id": twin["id"]} for line, twin in zip(lines[1::2], first)]
+        for name, part in ((f"{outlet}-1", first), (f"{outlet}-2", second)):
+            (shared / "corpus" / f"{name}.jsonl").write_text(
+                "".join(json.dumps(record) + "\n" for record in part), encoding="utf-8"
+            )
+            shared_corpora[name] = f"corpus/{name}.jsonl"
     shutil.copy(two_year_dir / "config.json", shuffled / "config.json")
     (split / "config.json").write_text(json.dumps({**raw, "corpora": split_corpora}), encoding="utf-8")
 
@@ -386,6 +408,21 @@ def test_report_is_independent_of_record_order(two_year_dir, tmp_path):
         actual = _report_tree(variant / "config.json", tmp_path / f"out-{variant.name}")
         assert sorted(p for p in expected if expected[p] != actual.get(p)) == [], variant.name
         assert actual.keys() == expected.keys(), variant.name
+
+    # Files load in the order of their config keys: swap which file each key names.
+    trees = []
+    for order in ("forward", "swapped"):
+        corpora = {}
+        for outlet in raw["corpora"]:
+            files = [shared_corpora[f"{outlet}-1"], shared_corpora[f"{outlet}-2"]]
+            if order == "swapped":
+                files.reverse()
+            corpora.update({f"{outlet}-a": files[0], f"{outlet}-b": files[1]})
+        config = shared / f"config-{order}.json"
+        config.write_text(json.dumps({**raw, "corpora": corpora}), encoding="utf-8")
+        trees.append(_report_tree(config, tmp_path / f"out-shared-{order}"))
+    assert sorted(p for p in trees[0] if trees[0][p] != trees[1].get(p)) == []
+    assert trees[0].keys() == trees[1].keys()
 
 
 def test_partition_order_is_total(tmp_path):

@@ -4,7 +4,7 @@ import datetime as dt
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from newsbalance.corpus import (
     MonthKey,
@@ -18,7 +18,7 @@ from newsbalance.corpus import (
 )
 from newsbalance.errors import DataError
 
-from conftest import make_article
+from conftest import adversarial_text, make_article
 
 
 def _write_lines(path, records):
@@ -150,6 +150,12 @@ class TestTokenize:
     def test_sentence_word_counts_sum_to_text_count(self, text):
         sentences = split_sentences(text)
         assert sum(len(tokenize(s)) for s in sentences) == len(tokenize(text))
+
+    @settings(max_examples=500)
+    @given(st.one_of(adversarial_text, st.text(max_size=200)))
+    def test_span_tokens_joined_are_the_text_tokens(self, text):
+        """The text table's places read the units' tokens in place of the whole text's."""
+        assert [t for span in split_sentences(text) for t in tokenize(span)] == tokenize(text)
 
 
 class TestMonthKey:

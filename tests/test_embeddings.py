@@ -146,7 +146,7 @@ class TestAlign:
             rotation, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
             source = space_from_rows(base, year=1)
             target = space_from_rows(base @ rotation, year=2)
-            transform = align(source, target, anchor_count=200)
+            transform = align(source, target, anchor_count=200, mode="procrustes")
             residual = np.abs(transform.apply_rows(base) - base @ rotation).max()
             assert residual < 1e-6
             # recovered matrix reproduces the planted rotation (row convention)
@@ -164,7 +164,7 @@ class TestAlign:
         rng = np.random.default_rng(3)
         source = space_from_rows(rng.normal(size=(60, 12)), year=1)
         target = space_from_rows(rng.normal(size=(60, 12)), year=2)
-        q = align(source, target, anchor_count=60).matrix
+        q = align(source, target, anchor_count=60, mode="procrustes").matrix
         assert np.abs(q.T @ q - np.eye(12)).max() < 1e-8
 
     def test_procrustes_not_worse_than_identity(self):
@@ -173,7 +173,7 @@ class TestAlign:
         rotation, _ = np.linalg.qr(rng.normal(size=(6, 6)))
         source = space_from_rows(base, year=1)
         target = space_from_rows(base @ rotation + rng.normal(scale=0.05, size=(80, 6)), year=2)
-        fitted = align(source, target, anchor_count=80)
+        fitted = align(source, target, anchor_count=80, mode="procrustes")
         pre = np.linalg.norm(base - target.vectors)
         post = np.linalg.norm(fitted.apply_rows(base) - target.vectors)
         assert post <= pre
@@ -183,20 +183,20 @@ class TestAlign:
         source = space_from_rows(rng.normal(size=(4, 8)), year=1)
         target = space_from_rows(rng.normal(size=(4, 8)), year=2)
         with pytest.raises(InsufficientAnchorsError):
-            align(source, target, anchor_count=4)
+            align(source, target, anchor_count=4, mode="procrustes")
 
     def test_excluded_tokens_not_anchors(self):
         rng = np.random.default_rng(6)
         rows = rng.normal(size=(30, 4))
         source = space_from_rows(rows, year=1)
         target = space_from_rows(rows, year=2)
-        transform = align(source, target, anchor_count=30, exclude=["t0"])
+        transform = align(source, target, anchor_count=30, mode="procrustes", exclude=["t0"])
         assert "t0" not in transform.anchors
 
     def test_unknown_mode_rejected(self):
         source = space_from_rows(np.eye(3), year=1)
         with pytest.raises(ConfigError):
-            align(source, source, mode="affine")
+            align(source, source, anchor_count=3, mode="affine")
 
 
 class TestAssociation:
@@ -363,7 +363,7 @@ class TestPopularityTimeline:
         sets = AssociationSets(
             s1=("p1",), s2=("p2",), a1=("good", "honest"), a2=("bad", "dishonest")
         )
-        timeline = popularity_timeline(spaces, sets, anchor_count=20)
+        timeline = popularity_timeline(spaces, sets, anchor_count=20, mode="procrustes")
         for group in (timeline.group1, timeline.group2):
             for value in group[1:]:
                 assert value == pytest.approx(group[0], abs=1e-9)
@@ -372,7 +372,7 @@ class TestPopularityTimeline:
         spaces = self.drift_spaces()[:1]
         sets = AssociationSets(s1=("p1",), s2=("p2",), a1=("a1",), a2=("a2",))
         with pytest.raises(ConfigError):
-            popularity_timeline(spaces, sets)
+            popularity_timeline(spaces, sets, anchor_count=8, mode="identity")
 
     def test_alignment_mode_matches_identity_scores(self):
         # cosines are rotation-invariant, so procrustes and identity agree

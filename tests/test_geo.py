@@ -17,11 +17,6 @@ from newsbalance.tagging import TextTable
 from conftest import make_article, yearly_place_counts
 
 
-@pytest.fixture(scope="module")
-def gazetteer():
-    return Gazetteer.default()
-
-
 def toy_gazetteer(names):
     return Gazetteer(cities={}, states={name: () for name in names})
 

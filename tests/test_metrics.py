@@ -1,14 +1,18 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
+import struct
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from newsbalance.corpus import MonthKey, Sentence
 from newsbalance.errors import ConfigError, ContractViolation
 from newsbalance.metrics import (
     AnalyzerSuite,
+    FeatureRow,
     ImbalanceSeries,
     ImbalancePoint,
     MetricId,
@@ -22,9 +26,10 @@ from newsbalance.metrics import (
     write_series_csv,
 )
 from newsbalance.nlp import ValenceLexicon, sentence_sentiment
-from newsbalance.tagging import CONTENT, HEADLINE, MonthlyDocument, build_monthly_documents
+from newsbalance.tagging import CONTENT, HEADLINE, MonthlyDocument, TextTable, build_monthly_documents
 
 from conftest import make_article
+from oracles import float_sum_score
 
 MONTH = MonthKey(2010, 1)
 
@@ -39,12 +44,16 @@ def series_for(articles, lexicons, metric, suite):
     return compute_all_series(articles, lexicons, [metric], suite)[metric.value]
 
 
-def content_doc(texts, party_id="bjp"):
-    units = [
-        Sentence(article_id=f"a{i}", index=0, tokens=tuple(t.split()))
-        for i, t in enumerate(texts)
-    ]
-    return MonthlyDocument(month=MONTH, party_id=party_id, mode=CONTENT, units=units)
+def content_units(texts):
+    return [Sentence(article_id=f"a{i}", index=0, tokens=tuple(t.split())) for i, t in enumerate(texts)]
+
+
+def content_doc(texts, suite, party_id="bjp"):
+    """A content document of one unit per text, each with its feature row."""
+    doc = MonthlyDocument(month=MONTH, party_id=party_id, mode=CONTENT)
+    for unit in content_units(texts):
+        doc.add(unit.word_count, suite.features(unit))
+    return doc
 
 
 class TestImbalance:
@@ -91,30 +100,28 @@ class TestImbalance:
 
 
 class TestScoreDocument:
-    def test_headline_count(self, suite):
-        units = [
-            Sentence(article_id=f"a{i}", index=0, tokens=("BJP", "wins"))
-            for i in range(12)
-        ]
-        doc = MonthlyDocument(month=MONTH, party_id="bjp", mode=HEADLINE, units=units)
-        assert score_document(doc, MetricId.COV_HEAD, suite) == 12
+    def test_headline_count(self):
+        doc = MonthlyDocument(month=MONTH, party_id="bjp", mode=HEADLINE)
+        for _ in range(12):
+            doc.add(len(("BJP", "wins")), None)
+        assert score_document(doc, MetricId.COV_HEAD) == 12
 
     def test_content_word_count(self, suite):
-        doc = content_doc(["BJP won the vote", "BJP lost ground today"])
-        assert score_document(doc, MetricId.COV_CONTENT, suite) == 8
+        doc = content_doc(["BJP won the vote", "BJP lost ground today"], suite)
+        assert score_document(doc, MetricId.COV_CONTENT) == 8
 
     def test_mode_mismatch_rejected(self, suite):
-        doc = content_doc(["BJP spoke"])
+        doc = content_doc(["BJP spoke"], suite)
         with pytest.raises(ContractViolation):
-            score_document(doc, MetricId.COV_HEAD, suite)
+            score_document(doc, MetricId.COV_HEAD)
 
-    def test_empty_documents(self, suite):
+    def test_empty_documents(self):
         empty_head = MonthlyDocument(month=MONTH, party_id="bjp", mode=HEADLINE)
         empty_content = MonthlyDocument(month=MONTH, party_id="bjp", mode=CONTENT)
-        assert score_document(empty_head, MetricId.COV_HEAD, suite) == 0
-        assert score_document(empty_content, MetricId.COV_CONTENT, suite) == 0
-        assert score_document(empty_content, MetricId.POS_SENT, suite) is None
-        assert score_document(empty_content, MetricId.SUBJ, suite) is None
+        assert score_document(empty_head, MetricId.COV_HEAD) == 0
+        assert score_document(empty_content, MetricId.COV_CONTENT) == 0
+        assert score_document(empty_content, MetricId.POS_SENT) is None
+        assert score_document(empty_content, MetricId.SUBJ) is None
 
     def test_weighted_mean_via_subjectivity(self, lexicons):
         # (10 tokens at 0.5, 30 tokens at 0.1) -> (10*0.5 + 30*0.1) / 40 = 0.2
@@ -123,44 +130,122 @@ class TestScoreDocument:
             subjectivity={"filler": 0.5, "pad": 0.1},
             lexicons=lexicons,
         )
-        doc = content_doc([" ".join(["filler"] * 10), " ".join(["pad"] * 30)])
-        assert score_document(doc, MetricId.SUBJ, suite) == pytest.approx(0.2, abs=1e-12)
+        doc = content_doc([" ".join(["filler"] * 10), " ".join(["pad"] * 30)], suite)
+        assert score_document(doc, MetricId.SUBJ) == pytest.approx(0.2, abs=1e-12)
 
     def test_weighted_sentiment_matches_recomposition(self, suite):
-        doc = content_doc(
-            ["BJP delivered a good result", "Critics called the BJP plan bad and dishonest"]
-        )
+        texts = ["BJP delivered a good result", "Critics called the BJP plan bad and dishonest"]
+        doc = content_doc(texts, suite)
         expected_num = 0.0
         expected_den = 0
-        for unit in doc.units:
+        for unit in content_units(texts):
             s = sentence_sentiment(unit.tokens, suite.valence).positive
             expected_num += unit.word_count * s
             expected_den += unit.word_count
-        value = score_document(doc, MetricId.POS_SENT, suite)
+        value = score_document(doc, MetricId.POS_SENT)
         assert value == pytest.approx(expected_num / expected_den, abs=1e-12)
 
     def test_supcomp_hand_percentage(self, suite):
-        doc = content_doc(["the best plan"])
-        assert score_document(doc, MetricId.SUPCOMP, suite) == pytest.approx(100.0 / 3, abs=1e-9)
+        doc = content_doc(["the best plan"], suite)
+        assert score_document(doc, MetricId.SUPCOMP) == pytest.approx(100.0 / 3, abs=1e-9)
 
     def test_pov_counts_attributed_words_only(self, suite):
         doc = content_doc(
-            ["BJP said the bill passed", "BJP campaigned in Pune", "Critics told BJP to stop"]
+            ["BJP said the bill passed", "BJP campaigned in Pune", "Critics told BJP to stop"], suite
         )
         # only the first sentence has a bjp phrase before the narrative verb
-        assert score_document(doc, MetricId.POV, suite) == 5
+        assert score_document(doc, MetricId.POV) == 5
 
     def test_weighted_mean_within_constituent_range(self, suite):
-        doc = content_doc(
-            ["good results pleased everyone", "a bad and dishonest move", "neutral words here"]
-        )
+        texts = ["good results pleased everyone", "a bad and dishonest move", "neutral words here"]
+        doc = content_doc(texts, suite)
         for metric in (MetricId.POS_SENT, MetricId.NEG_SENT, MetricId.SUBJ):
-            per_unit = []
-            for unit in doc.units:
-                single = MonthlyDocument(month=MONTH, party_id="bjp", mode=CONTENT, units=[unit])
-                per_unit.append(score_document(single, metric, suite))
-            value = score_document(doc, metric, suite)
+            per_unit = [score_document(content_doc([text], suite), metric) for text in texts]
+            value = score_document(doc, metric)
             assert min(per_unit) - 1e-12 <= value <= max(per_unit) + 1e-12
+
+
+# Feature values: repeats, zero, the smallest subnormals and the largest, and any in [0, 1].
+values = st.one_of(
+    st.sampled_from([0.0, 0.1, 0.5, 1.0, 5e-324, 1e-323, 2.2250738585072014e-308, 1 / 3]),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+
+
+def unit(words):
+    """A unit of `words` words and its feature row: at most one degree hit per word."""
+    row = st.builds(
+        FeatureRow,
+        positive=values,
+        negative=values,
+        subjectivity=values,
+        degree_hits=st.integers(0, min(words, 5)),
+        speakers=st.sampled_from([(), ("bjp",), ("congress",), ("bjp", "congress")]),
+    )
+    return st.tuples(st.just(words), row)
+
+
+# (word count, feature row) pairs; zero-word units included.
+units = st.lists(st.integers(0, 40).flatmap(unit), max_size=12)
+WEIGHTED = (MetricId.POS_SENT, MetricId.NEG_SENT, MetricId.SUBJ, MetricId.SUPCOMP)
+
+
+def summed(pairs, month=MONTH, party_id="bjp"):
+    doc = MonthlyDocument(month=month, party_id=party_id, mode=CONTENT)
+    for words, row in pairs:
+        doc.add(words, row)
+    return doc
+
+
+def exact_score(pairs, metric):
+    """The exact weighted mean, rounded once."""
+    words = sum(w for w, _ in pairs)
+    if words == 0:
+        return None
+    if metric is MetricId.SUPCOMP:
+        return float(Fraction(100 * sum(row.degree_hits for _, row in pairs), words))
+    field = {MetricId.POS_SENT: "positive", MetricId.NEG_SENT: "negative", MetricId.SUBJ: "subjectivity"}[metric]
+    return float(Fraction(sum(w * Fraction(getattr(row, field)) for w, row in pairs), words))
+
+
+def bits(value):
+    return None if value is None else struct.pack("<d", value)
+
+
+class TestExactSums:
+    @settings(max_examples=300, deadline=None)
+    @given(units)
+    def test_scores_equal_the_exact_mean(self, pairs):
+        doc = summed(pairs)
+        for metric in WEIGHTED:
+            assert bits(score_document(doc, metric)) == bits(exact_score(pairs, metric)), metric
+
+    @settings(max_examples=200, deadline=None)
+    @given(units, st.randoms(use_true_random=False))
+    def test_unit_order_does_not_matter(self, pairs, rng):
+        shuffled = list(pairs)
+        rng.shuffle(shuffled)
+        assert summed(shuffled) == summed(pairs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(units, st.lists(st.integers(0, 3), max_size=12))
+    def test_merged_months_equal_the_pooled_units(self, pairs, groups):
+        months = [MonthKey(2010, 1 + g) for g in groups] + [MONTH] * (len(pairs) - len(groups))
+        merged = MonthlyDocument(month=MONTH, party_id="bjp", mode=CONTENT)
+        for month in sorted(set(months)):
+            merged.merge(summed([p for p, m in zip(pairs, months) if m == month], month))
+        assert merged == summed(pairs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(units, st.sampled_from(["bjp", "congress"]))
+    def test_scores_near_the_float_sums(self, pairs, party_id):
+        doc = summed(pairs, party_id=party_id)
+        for metric in (MetricId.COV_CONTENT, MetricId.POV, *WEIGHTED):
+            new, old = score_document(doc, metric), float_sum_score(pairs, party_id, metric)
+            if old is None:
+                assert new is None, metric
+            else:
+                assert abs(new - old) <= 1e-12 * max(abs(new), abs(old)), metric
 
 
 class TestComputeSeries:
@@ -244,22 +329,21 @@ class TestAggregates:
             make_article(id="a3", published="2010-02-11", content="BJP plans were honest and good."),
         ]
         series = series_for(articles, lexicons, MetricId.POS_SENT, suite)["daily-alpha"]
-        docs = build_monthly_documents(articles, lexicons, CONTENT)
-        pooled = [
-            MonthlyDocument(
-                month=MONTH,
-                party_id=party,
-                mode=CONTENT,
-                units=sorted(
-                    (u for (_, p), d in docs.items() if p == party for u in d.units),
-                    key=lambda u: (u.article_id, u.index),
-                ),
-            )
-            for party in ("bjp", "congress")
-        ]
-        assert series.pooled == aggregate_pooled(pooled[0], pooled[1], MetricId.POS_SENT, suite)
+        docs = build_monthly_documents(articles, lexicons, CONTENT, suite, TextTable())
+        pooled = []
+        for party in ("bjp", "congress"):
+            doc = MonthlyDocument(month=MONTH, party_id=party, mode=CONTENT)
+            for (_, owner), month_doc in docs.items():
+                if owner == party:
+                    doc.merge(month_doc)
+            pooled.append(doc)
+        # The sum of the month documents is the document of all units in one month.
+        one_month = [dataclasses.replace(a, published=articles[0].published) for a in articles]
+        single = build_monthly_documents(one_month, lexicons, CONTENT, suite, TextTable())
+        assert pooled == [single[(MONTH, "bjp")], single[(MONTH, "congress")]]
+        assert series.pooled == aggregate_pooled(pooled[0], pooled[1], MetricId.POS_SENT)
         assert series.pooled == imbalance(
-            score_document(pooled[0], MetricId.POS_SENT, suite), score_document(pooled[1], MetricId.POS_SENT, suite)
+            score_document(pooled[0], MetricId.POS_SENT), score_document(pooled[1], MetricId.POS_SENT)
         )
 
     def test_table_display_format(self):

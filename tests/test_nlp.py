@@ -83,10 +83,26 @@ class TestSentiment:
         extended = sentence_sentiment(tokens + ["committee"], valence)
         assert base == extended
 
+    @pytest.mark.parametrize("valence", [1e200, 1e308])
+    def test_huge_valence_sums_score_one(self, valence):
+        """Sums whose square, or which themselves, overflow score 1, never 0 or NaN."""
+        lexicon = ValenceLexicon(valences={"good": valence, "bad": -valence}, boosters={}, negators=frozenset())
+        result = sentence_sentiment(["good", "good", "bad", "bad"], lexicon)
+        assert (result.positive, result.negative) == (1.0, 1.0)
+
     def test_loader_rejects_bad_class(self, tmp_path):
         path = tmp_path / "v.tsv"
         path.write_text("good\t1.0\tmystery\n", encoding="utf-8")
         with pytest.raises(ConfigError):
+            ValenceLexicon.load(path)
+
+    @pytest.mark.parametrize(
+        "row", ["good\tinf", "good\t-inf", "good\tnan", "very\tinf\tbooster", "very\tnan\tbooster", "not\tinf\tnegator"]
+    )
+    def test_loader_rejects_non_finite_scores(self, tmp_path, row):
+        path = tmp_path / "v.tsv"
+        path.write_text(row + "\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="not finite"):
             ValenceLexicon.load(path)
 
 
@@ -108,6 +124,13 @@ class TestSubjectivity:
         path = tmp_path / "s.tsv"
         path.write_text("loud\t1.5\n", encoding="utf-8")
         with pytest.raises(ConfigError):
+            load_subjectivity_lexicon(path)
+
+    @pytest.mark.parametrize("score", ["abc", "", "nan", "inf"])
+    def test_loader_rejects_scores_that_are_not_numbers(self, tmp_path, score):
+        path = tmp_path / "s.tsv"
+        path.write_text(f"loud\t{score}\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="s.tsv:1"):
             load_subjectivity_lexicon(path)
 
     def test_default_lexicon_loads(self):

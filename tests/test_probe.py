@@ -23,44 +23,44 @@ class TestVotePreference:
     """A party's vote preference is its mass at the mask slot, looked up by token."""
 
     def test_uniform_toy_backend(self):
-        assert popularity_pair({"BJP": 0.5, "Congress": 0.5}) == (0.5, 0.5)
+        assert popularity_pair({"BJP": 0.5, "Congress": 0.5}, "BJP", "Congress") == (0.5, 0.5)
 
     def test_lookup(self):
         p_other, _ = popularity_pair({"BJP": 0.3, "Congress": 0.1, "other": 0.6}, "other", "BJP")
         assert p_other == pytest.approx(0.6 / 0.9, abs=1e-12)
 
     def test_absent_token_is_zero(self):
-        assert popularity_pair({"Congress": 0.2}) == (0.0, 1.0)
+        assert popularity_pair({"Congress": 0.2}, "BJP", "Congress") == (0.0, 1.0)
 
 
 class TestPopularity:
     def test_hand_normalization(self):
-        p_b, _ = popularity_pair({"BJP": 0.3, "Congress": 0.1, "other": 0.6})
+        p_b, _ = popularity_pair({"BJP": 0.3, "Congress": 0.1, "other": 0.6}, "BJP", "Congress")
         assert p_b == pytest.approx(0.75, abs=1e-12)
 
     def test_symmetry(self):
-        assert popularity_pair({"BJP": 0.2, "Congress": 0.2})[0] == 0.5
+        assert popularity_pair({"BJP": 0.2, "Congress": 0.2}, "BJP", "Congress")[0] == 0.5
 
     def test_both_zero_is_error(self):
         with pytest.raises(UndefinedProbabilityError):
-            popularity_pair({"other": 1.0})
+            popularity_pair({"other": 1.0}, "BJP", "Congress")
 
     def test_pair_sums_to_one_exactly(self):
         for dist in [{"BJP": 0.3, "Congress": 0.1}, {"BJP": 0.1, "Congress": 0.2}]:
-            p_b, p_c = popularity_pair(dist)
+            p_b, p_c = popularity_pair(dist, "BJP", "Congress")
             assert p_b + p_c == 1.0
 
 
 class TestTokenDeltaRanking:
     def test_identical_backends_empty(self):
         slot = {"a": 0.5, "b": 0.3}
-        rising, falling = token_delta_ranking(slot, slot)
+        rising, falling = token_delta_ranking(slot, slot, k=50, m=15)
         assert rising == [] and falling == []
 
     def test_new_token_heads_rising(self):
         early = {"a": 0.5}
         late = {"a": 0.5, "b": 0.2}
-        rising, falling = token_delta_ranking(early, late)
+        rising, falling = token_delta_ranking(early, late, k=50, m=15)
         assert rising[0] == ("b", pytest.approx(0.2))
         assert falling == []
 
@@ -68,7 +68,7 @@ class TestTokenDeltaRanking:
         # hand deltas: a:-0.3, b:+0.1, c:+0.25, d:-0.05, e:0 (dropped)
         early = {"a": 0.4, "b": 0.1, "c": 0.05, "d": 0.25, "e": 0.2}
         late = {"a": 0.1, "b": 0.2, "c": 0.3, "d": 0.2, "e": 0.2}
-        rising, falling = token_delta_ranking(early, late)
+        rising, falling = token_delta_ranking(early, late, k=50, m=15)
         assert [t for t, _ in rising] == ["c", "b"]
         assert [t for t, _ in falling] == ["a", "d"]
 
@@ -81,8 +81,8 @@ class TestTokenDeltaRanking:
     def test_swap_exchanges_lists(self):
         early = {"a": 0.4, "b": 0.1}
         late = {"a": 0.1, "b": 0.3}
-        rising, falling = token_delta_ranking(early, late)
-        rev_rising, rev_falling = token_delta_ranking(late, early)
+        rising, falling = token_delta_ranking(early, late, k=50, m=15)
+        rev_rising, rev_falling = token_delta_ranking(late, early, k=50, m=15)
         assert [t for t, _ in rising] == [t for t, _ in rev_falling]
         assert [t for t, _ in falling] == [t for t, _ in rev_rising]
         assert not set(t for t, _ in rising) & set(t for t, _ in falling)
@@ -90,7 +90,7 @@ class TestTokenDeltaRanking:
     def test_top_k_union_limits_candidates(self):
         early = {"a": 0.9, "b": 0.05, "c": 0.01}
         late = {"a": 0.1, "b": 0.8, "c": 0.02}
-        rising, falling = token_delta_ranking(early, late, k=1)
+        rising, falling = token_delta_ranking(early, late, k=1, m=15)
         # only a (early top-1) and b (late top-1) are candidates
         assert {t for t, _ in rising} <= {"a", "b"}
         assert {t for t, _ in falling} <= {"a", "b"}
@@ -99,7 +99,7 @@ class TestTokenDeltaRanking:
         # a and b tie in both distributions; top-2 keeps c and the smaller token, a
         early = {"c": 0.6, "b": 0.2, "a": 0.2}
         late = {"c": 0.6, "b": 0.3, "a": 0.3}
-        rising, falling = token_delta_ranking(early, late, k=2)
+        rising, falling = token_delta_ranking(early, late, k=2, m=15)
         assert [t for t, _ in rising] == ["a"]
         assert falling == []
 
@@ -119,22 +119,22 @@ def vote_articles(b_count, c_count):
 
 class TestNgramBackend:
     def test_dominant_party_near_one(self):
-        backend = ngram_backend(vote_articles(50, 0))
-        assert popularity_pair(backend.query(VOTE_PROMPT))[0] > 0.99
+        backend = ngram_backend(vote_articles(50, 0), order=3, smoothing=0.01)
+        assert popularity_pair(backend.query(VOTE_PROMPT), "BJP", "Congress")[0] > 0.99
 
     def test_balanced_corpus_half(self):
-        backend = ngram_backend(vote_articles(25, 25))
-        assert popularity_pair(backend.query(VOTE_PROMPT))[0] == pytest.approx(0.5, abs=1e-9)
+        backend = ngram_backend(vote_articles(25, 25), order=3, smoothing=0.01)
+        assert popularity_pair(backend.query(VOTE_PROMPT), "BJP", "Congress")[0] == pytest.approx(0.5, abs=1e-9)
 
     def test_unseen_context_uniform(self):
-        backend = ngram_backend(vote_articles(5, 5))
+        backend = ngram_backend(vote_articles(5, 5), order=3, smoothing=0.01)
         result = backend.query("zebras quietly poll <mask>")
         values = set(result.values())
         assert len(values) == 1
         assert sum(result.values()) == pytest.approx(1.0, abs=1e-9)
 
     def test_scores_sum_at_most_one(self):
-        backend = ngram_backend(vote_articles(10, 5))
+        backend = ngram_backend(vote_articles(10, 5), order=3, smoothing=0.01)
         result = backend.query(VOTE_PROMPT)
         assert all(v >= 0 for v in result.values())
         assert sum(result.values()) <= 1.0 + 1e-9
@@ -143,31 +143,31 @@ class TestNgramBackend:
         articles = [
             make_article(id="r1", content="They vote for BJP today. They vote for Congress now."),
         ]
-        backend = ngram_backend([articles[0]], order=3)
+        backend = ngram_backend([articles[0]], order=3, smoothing=0.01)
         scores = backend.query("They vote for <mask> today.")
         assert scores["BJP"] > scores["Congress"]
 
     def test_deterministic(self):
-        first = ngram_backend(vote_articles(8, 3)).query(VOTE_PROMPT)
-        second = ngram_backend(vote_articles(8, 3)).query(VOTE_PROMPT)
+        first = ngram_backend(vote_articles(8, 3), order=3, smoothing=0.01).query(VOTE_PROMPT)
+        second = ngram_backend(vote_articles(8, 3), order=3, smoothing=0.01).query(VOTE_PROMPT)
         assert first == second
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(DataError):
-            NgramMaskBackend([])
+            NgramMaskBackend([], order=3, smoothing=0.01)
         with pytest.raises(DataError):
-            NgramMaskBackend([[], []])
+            NgramMaskBackend([[], []], order=3, smoothing=0.01)
 
     def test_multiple_masks_rejected(self):
-        backend = ngram_backend(vote_articles(2, 2))
+        backend = ngram_backend(vote_articles(2, 2), order=3, smoothing=0.01)
         with pytest.raises(ContractViolation):
             backend.query("<mask> versus <mask>")
 
     def test_bad_params_rejected(self):
         with pytest.raises(ContractViolation):
-            NgramMaskBackend([["a"]], order=1)
+            NgramMaskBackend([["a"]], order=1, smoothing=0.01)
         with pytest.raises(ContractViolation):
-            NgramMaskBackend([["a"]], smoothing=0.0)
+            NgramMaskBackend([["a"]], order=3, smoothing=0.0)
 
 
 def assert_same_scores(sentences, order, smoothing, prompt):

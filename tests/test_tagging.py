@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from newsbalance import tagging
-from newsbalance.corpus import MonthKey, article_sentences, headline_sentence, tokenize
+from newsbalance.corpus import MonthKey, article_sentences, headline_sentence, month_key, tokenize
 from newsbalance.errors import ConfigError, ContractViolation
 from newsbalance.geo import CITY, STATE, Gazetteer
 from newsbalance.tagging import (
@@ -20,8 +22,8 @@ from newsbalance.tagging import (
 )
 from newsbalance._data import data_path
 
-from conftest import make_article
-from oracles import ExpandEachCallPhraseMatcher
+from conftest import adversarial_text, make_article
+from oracles import ExpandEachCallPhraseMatcher, whole_text_places
 
 
 def match_parties(text, lexicons):
@@ -78,78 +80,80 @@ class TestLexiconLoading:
         assert "United Progressive Alliance" in lexicons[1].phrases
 
 
-class TestBuildMonthlyDocuments:
-    def test_headline_mode_single_party(self, lexicons):
-        article = make_article(headline="BJP sweeps local polls", content="Neutral text.")
-        docs = build_monthly_documents([article], lexicons, HEADLINE)
-        month = MonthKey(2010, 1)
-        assert len(get_document(docs, month, "bjp", HEADLINE).units) == 1
-        assert len(get_document(docs, month, "congress", HEADLINE).units) == 0
+def build(articles, lexicons, mode, suite):
+    return build_monthly_documents(articles, lexicons, mode, suite, TextTable())
 
-    def test_dual_mention_in_both(self, lexicons):
+
+class TestBuildMonthlyDocuments:
+    def test_headline_mode_single_party(self, lexicons, suite):
+        article = make_article(headline="BJP sweeps local polls", content="Neutral text.")
+        docs = build([article], lexicons, HEADLINE, suite)
+        month = MonthKey(2010, 1)
+        assert get_document(docs, month, "bjp", HEADLINE).units == 1
+        assert get_document(docs, month, "congress", HEADLINE).units == 0
+
+    def test_dual_mention_in_both(self, lexicons, suite):
         article = make_article(content="BJP blamed Congress. Unrelated line.")
-        docs = build_monthly_documents([article], lexicons, CONTENT)
+        docs = build([article], lexicons, CONTENT, suite)
         month = MonthKey(2010, 1)
         bjp_doc = get_document(docs, month, "bjp", CONTENT)
         congress_doc = get_document(docs, month, "congress", CONTENT)
-        assert len(bjp_doc.units) == 1 and len(congress_doc.units) == 1
-        assert bjp_doc.units[0] == congress_doc.units[0]
-        assert bjp_doc.units[0].tokens == ("BJP", "blamed", "Congress")
+        assert bjp_doc.units == 1 and congress_doc.units == 1
+        assert dataclasses.replace(bjp_doc, party_id="congress") == congress_doc
+        assert bjp_doc.words == len(("BJP", "blamed", "Congress"))
 
-    def test_sentence_counting(self, lexicons):
+    def test_sentence_counting(self, lexicons, suite):
         article = make_article(
             published="2014-05-10",
             content="BJP gained ground. BJP held a rally. Nothing here.",
         )
-        docs = build_monthly_documents([article], lexicons, CONTENT)
+        docs = build([article], lexicons, CONTENT, suite)
         doc = get_document(docs, MonthKey(2014, 5), "bjp", CONTENT)
-        assert len(doc.units) == 2
-        assert doc.total_words == sum(u.word_count for u in doc.units)
+        assert doc.units == 2
+        assert doc.words == 3 + 4
 
-    def test_bad_mode_rejected(self, lexicons):
+    def test_bad_mode_rejected(self, lexicons, suite):
         with pytest.raises(ConfigError):
-            build_monthly_documents([], lexicons, "paragraph")
+            build([], lexicons, "paragraph", suite)
 
-    def test_monotonic_under_addition(self, lexicons):
+    def test_monotonic_under_addition(self, lexicons, suite):
         first = make_article(id="a1", content="BJP spoke.")
         second = make_article(id="a2", content="Congress replied. BJP answered.")
-        docs_one = build_monthly_documents([first], lexicons, CONTENT)
-        docs_two = build_monthly_documents([first, second], lexicons, CONTENT)
+        docs_one = build([first], lexicons, CONTENT, suite)
+        docs_two = build([first, second], lexicons, CONTENT, suite)
         for key, doc in docs_one.items():
-            texts = {(u.article_id, u.index) for u in doc.units}
-            bigger = {(u.article_id, u.index) for u in docs_two[key].units}
-            assert texts <= bigger
+            for name in ("units", "words", "pov_words", "degree_hits", "positive", "negative", "subjectivity"):
+                assert getattr(doc, name) <= getattr(docs_two[key], name), name
+        assert docs_two[(MonthKey(2010, 1), "bjp")].units == 2
 
-    def test_swap_lexicons_swaps_documents(self, lexicons):
+    def test_swap_lexicons_swaps_documents(self, lexicons, suite):
         articles = [
             make_article(id="a1", headline="BJP wins", content="Congress protested."),
             make_article(id="a2", headline="Congress regroups", content="BJP celebrated."),
         ]
         swapped = [lexicons[1], lexicons[0]]
         for mode in (HEADLINE, CONTENT):
-            docs = build_monthly_documents(articles, lexicons, mode)
-            docs_swapped = build_monthly_documents(articles, swapped, mode)
-            assert {k: [u.tokens for u in d.units] for k, d in docs.items()} == {
-                k: [u.tokens for u in d.units] for k, d in docs_swapped.items()
-            }
+            assert build(articles, lexicons, mode, suite) == build(articles, swapped, mode, suite)
 
-    def test_units_rematch_their_lexicon(self, lexicons, bundled_articles):
+    def test_units_rematch_their_lexicon(self, lexicons, suite, bundled_articles):
+        """Each document counts the units that its party's lexicon alone matches."""
         sample = bundled_articles[:200]
-        docs = build_monthly_documents(sample, lexicons, CONTENT)
-        by_id = {lex.party_id: lex for lex in lexicons}
-        for (_, party_id), doc in docs.items():
-            for unit in doc.units:
-                assert party_id in match_parties(list(unit.tokens), [by_id[party_id]])
+        docs = build(sample, lexicons, CONTENT, suite)
+        expected: dict = {}
+        for article in sample:
+            for unit in article_sentences(article):
+                for lex in lexicons:
+                    if match_parties(list(unit.tokens), [lex]):
+                        key = (month_key(article.published), lex.party_id)
+                        units, words = expected.get(key, (0, 0))
+                        expected[key] = (units + 1, words + unit.word_count)
+        assert {key: (doc.units, doc.words) for key, doc in docs.items()} == expected
 
-    def test_order_insensitive(self, lexicons, bundled_articles):
+    def test_order_insensitive(self, lexicons, suite, bundled_articles):
         sample = list(bundled_articles[:120])
-        forward = build_monthly_documents(sample, lexicons, CONTENT)
-        backward = build_monthly_documents(list(reversed(sample)), lexicons, CONTENT)
-        assert forward.keys() == backward.keys()
-        for key in forward:
-            assert [(u.article_id, u.index) for u in forward[key].units] == [
-                (u.article_id, u.index) for u in backward[key].units
-            ]
+        forward = build(sample, lexicons, CONTENT, suite)
+        backward = build(list(reversed(sample)), lexicons, CONTENT, suite)
+        assert forward == backward
 
 
 class TestTextTable:
@@ -168,14 +172,18 @@ class TestTextTable:
         with pytest.raises(ContractViolation):
             table.tagged(article, HEADLINE, lexicons[::-1])
 
-    def test_other_suite_is_refused(self, lexicons, suite):
-        from newsbalance.metrics import AnalyzerSuite
-
+    def test_places_equal_the_whole_text_oracle(self, gazetteer, bundled_articles):
         table = TextTable()
-        unit = table.units(make_article(headline="BJP wins big"))[0]
-        assert table.features(unit, suite) is table.features(unit, suite)
-        with pytest.raises(ContractViolation):
-            table.features(unit, AnalyzerSuite.default(lexicons))
+        for article in bundled_articles[:300]:
+            for level in (CITY, STATE):
+                assert table.places(article, level, gazetteer) == whole_text_places(article, level, gazetteer)
+
+    @settings(max_examples=200, deadline=None)
+    @given(adversarial_text, adversarial_text)
+    def test_places_of_adversarial_texts(self, gazetteer, headline, content):
+        article = make_article(headline=headline, content=content)
+        for level in (CITY, STATE):
+            assert TextTable().places(article, level, gazetteer) == whole_text_places(article, level, gazetteer)
 
 
 @given(

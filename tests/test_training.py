@@ -8,6 +8,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -173,6 +174,60 @@ def test_no_child_left_after_a_data_error_in_this_process(archive, tmp_path, mon
     config = _config(archive, tmp_path, min_count=10**6)
     assert main(["report", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
     _assert_no_child_left()
+
+
+# Starts one worker on a share of many years, prints its pid, then ends
+# itself by SIGKILL, which leaves it no chance to stop the worker.
+_ORPHANING_PARENT = """
+import os, signal, sys, time
+from newsbalance.config import RunConfig
+from newsbalance.corpus import load_corpus
+from newsbalance.embeddings import SgnsParams
+from newsbalance.training import SgnsJob, SgnsWorkers
+
+cfg = RunConfig.from_file(sys.argv[1])
+e = cfg.embedding
+articles, _ = load_corpus(cfg.corpora["daily-alpha"])
+year = tuple(a for a in articles if a.published.year == 2010)
+params = SgnsParams(dim=e.dim, window=e.window, negatives=e.negatives, epochs=e.epochs,
+                    min_count=e.min_count, subsample=e.subsample)
+# About 0.1 s a year on a 2-core VM, so the share alone would train for about a minute.
+job = SgnsJob("daily-alpha", tuple((2010 + i, i, year) for i in range(600)), params)
+workers = SgnsWorkers([[job]])
+print(workers._running[0][0].pid, flush=True)
+time.sleep(1)
+os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+def _running(pid: int) -> bool:
+    """True while the process exists and is not a zombie that nobody has reaped yet."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states from /proc")
+def test_worker_stops_once_its_parent_is_killed(archive, deadline):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")]))
+    parent = subprocess.Popen(
+        [sys.executable, "-c", _ORPHANING_PARENT, str(archive / "config.json")],
+        env=env, stdout=subprocess.PIPE, text=True,
+    )
+    worker = int(parent.stdout.readline())
+    parent.stdout.close()
+    try:
+        assert parent.wait(timeout=60) == -signal.SIGKILL
+        waited = 0.0
+        while _running(worker) and waited < 20:
+            time.sleep(0.1)
+            waited += 0.1
+        assert not _running(worker), "the worker trained on after its parent was killed"
+    finally:
+        if _running(worker):
+            os.kill(worker, signal.SIGKILL)
 
 
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads sessions from /proc")
