@@ -5,15 +5,17 @@ command reads the same JSON config and writes its artifacts plus a provenance
 block (config hash, seed, tool version) under its own subdirectory, so any
 subset of commands can run independently. The commands of one run share a
 `RunContext`: it loads and filters the corpora once, groups them into
-(outlet, year) partitions, keeps each article's units, party tags and place
-sets, computes the metric series once for `metrics` and `cluster`, and
-trains the yearly SGNS models for `weat`, each made on first use, so a
-command run alone builds only what it reads. `report` runs
+(outlet, year) partitions, splits each partition's articles once into units,
+computes the metric series once for `metrics` and `cluster`, and trains the
+yearly SGNS models for `weat`, each made on first use, so a command run alone
+builds only what it reads. `metrics`, `geo` and `probe` fold the partitions'
+units into monthly documents, place counts or slot distributions; party tags
+and place sets are computed where they are read. `report` runs
 everything on one context and bundles the results into one deterministic JSON
 file. It starts the SGNS training first: worker processes train every outlet
-but the first, and this process trains the first before it builds the text
-table, then runs `metrics`, `cluster`, `geo` and `probe` while the workers
-train, and `weat` last.
+but the first, and this process trains the first before it splits the
+articles into units, then runs `metrics`, `cluster`, `geo` and `probe` while
+the workers train, and `weat` last.
 
 Exit codes: 0 ok, 1 config error, 2 data error, 3 internal error.
 """
@@ -36,7 +38,7 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig
-from .corpus import Article, SkipRecord, load_corpus, write_skip_report
+from .corpus import Article, ArticleUnits, SkipRecord, article_units, load_corpus, partition, write_skip_report
 from .embeddings import AssociationSets, EmbeddingSpace, SgnsParams, popularity_timeline, save_binary, weat_score
 from .errors import (
     ConfigError,
@@ -59,7 +61,7 @@ from .metrics import (
 from .nlp import ValenceLexicon, default_subjectivity_lexicon, load_subjectivity_lexicon
 from .probe import ngram_backend, popularity_pair, token_delta_ranking
 from .synthetic import SynthSpec, default_config, generate_corpus, write_outlet_files
-from .tagging import TextTable, default_party_lexicons, load_party_lexicons
+from .tagging import build_matcher, default_party_lexicons, load_party_lexicons
 from .timeseries import cluster, distance_matrix, drop_missing, write_distance_csv, z_normalize
 from .training import SgnsJob, SgnsResult, SgnsWorkers, train_outlet
 from ._data import data_path
@@ -90,6 +92,7 @@ def _load_suite(cfg: RunConfig, lexicons) -> AnalyzerSuite:
         valence=ValenceLexicon.load(valence_path, modifiers_path),
         subjectivity=subjectivity,
         lexicons=lexicons,
+        matcher=build_matcher(lexicons),
     )
 
 
@@ -109,19 +112,19 @@ def _embedding_seed(base_seed: int, outlet_index: int, year: int) -> int:
     return int(np.random.SeedSequence([base_seed, outlet_index, year]).generate_state(1)[0])
 
 
-def _outlet_years(partitions: dict[tuple[str, int], list[Article]]):
-    """(outlet, [(year, articles), ...]) for each outlet, from the sorted partitions."""
+def _outlet_years(partitions: dict[tuple[str, int], tuple]):
+    """(outlet, [(year, value), ...]) for each outlet, from a dict in sorted partition order."""
     for outlet, group in groupby(partitions.items(), key=lambda item: item[0][0]):
-        yield outlet, [(year, articles) for (_, year), articles in group]
+        yield outlet, [(year, value) for (_, year), value in group]
 
 
 class RunContext:
     """What one run loads and derives from its config, each made on first use.
 
-    The corpora are read once and grouped into (outlet, year) partitions. The
-    text table then keeps each article's units, party tags and place sets
-    for the rest of the run. The metric series are computed once,
-    for `metrics` and `cluster`; `report` drops them once `cluster` is done.
+    The corpora are read once and grouped into (outlet, year) partitions, and
+    each partition's articles are split once into the units that `metrics`,
+    `geo` and `probe` read. The metric series are computed once, for
+    `metrics` and `cluster`; `report` drops them once `cluster` is done.
     The yearly SGNS models train in worker processes, all but the first
     outlet's, and in this process, which trains the first outlet's when
     `start_sgns` is called; `sgns_spaces` waits for the workers. Use the
@@ -155,14 +158,10 @@ class RunContext:
         return _load_gazetteer(self.cfg)
 
     @cached_property
-    def table(self) -> TextTable:
-        return TextTable()
-
-    @cached_property
     def series(self) -> dict[str, dict[str, ImbalanceSeries]]:
         """{metric: {outlet: monthly series with its pooled score}}, made once
         for `metrics` and `cluster`."""
-        return compute_all_series(self._corpora[0], self.lexicons, self.cfg.metrics, self.suite, self.table)
+        return compute_all_series(self.partitions, self.units, self.cfg.metrics, self.suite)
 
     @cached_property
     def _corpora(self) -> tuple[list[Article], dict[str, list[SkipRecord]]]:
@@ -181,21 +180,16 @@ class RunContext:
         return articles, skips
 
     @cached_property
-    def partitions(self) -> dict[tuple[str, int], list[Article]]:
-        """Each (outlet, year)'s articles in the date range, in sorted key order.
+    def partitions(self) -> dict[tuple[str, int], tuple[Article, ...]]:
+        """Each (outlet, year)'s articles in the date range, in sorted key
+        order and in `corpus.partition`'s canonical article order."""
+        return partition(self._corpora[0])
 
-        A partition's articles are sorted by (published, id, headline,
-        content), so that the order in which SGNS reads them does not depend
-        on record order: ids are unique only within a file, and two files may
-        hold one outlet's records.
-        """
-        partitions: dict[tuple[str, int], list[Article]] = {}
-        for article in self._corpora[0]:
-            partitions.setdefault((article.outlet, article.published.year), []).append(article)
-        return {
-            key: sorted(partitions[key], key=lambda a: (a.published, a.id, a.headline, a.content))
-            for key in sorted(partitions)
-        }
+    @cached_property
+    def units(self) -> dict[tuple[str, int], tuple[ArticleUnits, ...]]:
+        """Each partition's article units (`corpus.article_units`), in the
+        order of `partitions`."""
+        return {key: article_units(articles) for key, articles in self.partitions.items()}
 
     def start_sgns(self) -> None:
         """Start the workers, then train the first outlet's years here.
@@ -222,7 +216,7 @@ class RunContext:
             SgnsJob(
                 outlet,
                 tuple(
-                    (year, _embedding_seed(cfg.seed, index, year), tuple(articles)) for year, articles in years
+                    (year, _embedding_seed(cfg.seed, index, year), articles) for year, articles in years
                 ),
                 params,
             )
@@ -378,9 +372,9 @@ def cmd_cluster(ctx: RunContext, out_base: Path) -> dict:
             continue
         names = sorted(leaves)
         rows = [row[leaves[name]] for name in names]
-        dendro = cluster(names, [[matrix[i][j] for j in rows] for i in rows], clustering.linkage)
-        target[key] = dendro.root.to_dict()
-        (directory / f"dendrogram_{stem}.newick").write_text(dendro.to_newick() + "\n", encoding="utf-8")
+        root = cluster(names, [[matrix[i][j] for j in rows] for i in rows], clustering.linkage)
+        target[key] = root.to_dict()
+        (directory / f"dendrogram_{stem}.newick").write_text(root.to_newick() + "\n", encoding="utf-8")
 
     _write_json(payload, directory / "cluster.json")
     _write_json(_provenance(ctx.cfg, "cluster"), directory / "provenance.json")
@@ -402,8 +396,8 @@ def cmd_weat(ctx: RunContext, out_base: Path) -> dict:
     """Yearly embeddings and WEAT scores.
 
     The embeddings are `RunContext.sgns_spaces`, each trained from its own
-    pass over its partition's articles rather than from the text table; run
-    alone, this command starts the training itself.
+    pass over its partition's articles rather than from the shared units;
+    run alone, this command starts the training itself.
     """
     cfg = ctx.cfg
     directory = _command_dir(out_base, "weat")
@@ -453,11 +447,12 @@ def cmd_geo(ctx: RunContext, out_base: Path) -> dict:
     payload: dict = {"totals": {}, "trends": {}}
     yearly: dict[str, dict] = {}  # level -> {(outlet, year): place counts}
     for level in ("city", "state"):
+        matcher, places = gazetteer.matcher(level), gazetteer.places(level)
         rows = []
         outlet_counts: dict[str, Counter] = {}
         yearly[level] = {}
-        for (outlet, year), articles in ctx.partitions.items():
-            counts = count_mentions(articles, gazetteer, level, ctx.table)
+        for (outlet, year), units in ctx.units.items():
+            counts = count_mentions(units, matcher, places)
             yearly[level][(outlet, year)] = counts
             # An outlet's totals are the sums of its yearly counts.
             outlet_counts.setdefault(outlet, Counter()).update(counts)
@@ -493,17 +488,12 @@ def cmd_probe(ctx: RunContext, out_base: Path) -> dict:
 
     payload: dict = {}
     csv_rows = [f"outlet,year,p_{party_b},p_{party_c}"]
-    for outlet, partitions in _outlet_years(ctx.partitions):
+    for outlet, partitions in _outlet_years(ctx.units):
         years = [year for year, _ in partitions]
         slots = {}  # year -> the slice's distribution at the prompt's mask slot
         popularity = []
-        for year, articles in partitions:
-            backend = ngram_backend(
-                articles,
-                order=cfg.probe.order,
-                smoothing=cfg.probe.smoothing,
-                table=ctx.table,
-            )
+        for year, units in partitions:
+            backend = ngram_backend(units, order=cfg.probe.order, smoothing=cfg.probe.smoothing)
             slots[year] = backend.query(cfg.probe.prompt)
             try:
                 p_b, p_c = popularity_pair(slots[year], party_b, party_c)
@@ -534,8 +524,8 @@ def cmd_report(ctx: RunContext, out_base: Path) -> dict:
     directory = _command_dir(out_base, "report")
     provenance = _provenance(ctx.cfg, "report")
     # SGNS training is the run's memory peak, so this process trains its share
-    # before the text table that the other commands share exists; the workers
-    # train the rest while those commands run, and weat collects them last.
+    # before the units that the other commands share exist; the workers train
+    # the rest while those commands run, and weat collects them last.
     ctx.start_sgns()
     metrics = cmd_metrics(ctx, out_base)
     clusters = cmd_cluster(ctx, out_base)

@@ -33,6 +33,9 @@ __all__ = [
     "month_key",
     "article_sentences",
     "headline_sentence",
+    "ArticleUnits",
+    "article_units",
+    "partition",
 ]
 
 _ARTICLE_FIELDS = ("id", "outlet", "published", "headline", "content")
@@ -287,3 +290,27 @@ def article_sentences(article: Article) -> list[Sentence]:
 def headline_sentence(article: Article) -> Sentence:
     """Treat the whole headline as a single sentence unit."""
     return Sentence(article_id=article.id, index=0, tokens=_interned_tokens(article.headline))
+
+
+ArticleUnits = tuple[Sentence, tuple[Sentence, ...]]  # (headline unit, content sentences)
+
+
+def article_units(articles: Iterable[Article]) -> tuple[ArticleUnits, ...]:
+    """Each article's units, in article order."""
+    return tuple((headline_sentence(a), tuple(article_sentences(a))) for a in articles)
+
+
+def partition(articles: Iterable[Article]) -> dict[tuple[str, int], tuple[Article, ...]]:
+    """The articles of each (outlet, year), in sorted key order.
+
+    A partition's articles are sorted by (published, id, headline, content),
+    so that their order does not depend on record order: ids are unique only
+    within a file, and two files may hold one outlet's records.
+    """
+    partitions: dict[tuple[str, int], list[Article]] = {}
+    for article in articles:
+        partitions.setdefault((article.outlet, article.published.year), []).append(article)
+    return {
+        key: tuple(sorted(partitions[key], key=lambda a: (a.published, a.id, a.headline, a.content)))
+        for key in sorted(partitions)
+    }

@@ -2,9 +2,11 @@
 
 An article contributes at most one count per place no matter how often it
 repeats the name; matching is whole-token, case-insensitive and alias-folded
-("Odisha" counts toward "Orissa"). Homogeneity is summarized three ways: the
-inverse standard deviation of the share distribution and the total share of
-the bottom 20% and bottom 50% of places.
+("Odisha" counts toward "Orissa"). Counts are made from each article's
+units, one (outlet, year) partition at a time, and an outlet's totals are the
+sums of its yearly counts. Homogeneity is summarized three ways: the inverse
+standard deviation of the share distribution and the total share of the
+bottom 20% and bottom 50% of places.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import Article, tokenize
+from .corpus import ArticleUnits, tokenize
 from .errors import ConfigError, ContractViolation
-from .tagging import PhraseMatcher, TextTable
+from .tagging import PhraseMatcher
 from ._data import data_path
 
 __all__ = [
@@ -105,21 +107,23 @@ class Gazetteer:
 
 
 def count_mentions(
-    articles: Iterable[Article],
-    gazetteer: Gazetteer,
-    level: str = CITY,
-    table: TextTable | None = None,
+    units: Sequence[ArticleUnits],
+    matcher: PhraseMatcher,
+    places: Iterable[str],
 ) -> dict[str, int]:
     """Article counts per place (once per article), zero-count places included.
 
-    `table` keeps each article's place sets; without one, a table is made
-    for this call.
+    `units` holds each article's headline unit and content sentences, as
+    `corpus.article_units` gives them; an article names a place when
+    `matcher`, one gazetteer level's (`Gazetteer.matcher`), finds it in the
+    headline's tokens followed by the content's. `places` are that level's
+    places.
     """
-    counts = {place: 0 for place in gazetteer.places(level)}
-    if table is None:
-        table = TextTable()
-    for article in articles:
-        for place in table.places(article, level, gazetteer):
+    counts = {place: 0 for place in places}
+    for headline, content in units:
+        # The content units' tokens, joined, are the content's tokens.
+        tokens = [token for unit in (headline, *content) for token in unit.tokens]
+        for place in matcher.match_tokens(tokens):
             counts[place] += 1
     return counts
 
@@ -130,10 +134,6 @@ class CoverageDistribution:
 
     counts: dict
     shares: dict
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
 
 
 def coverage_distribution(counts: Mapping[str, int]) -> CoverageDistribution:

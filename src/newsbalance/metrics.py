@@ -7,8 +7,9 @@ which both documents score zero carries no information and is marked missing
 rather than balanced.
 
 A document holds exact integer sums over its units, so its scores do not
-depend on the order or grouping of the units, and the pooled document is the
-field-wise sum of the month documents.
+depend on the order or grouping of the units. The series fold over (outlet,
+year) partitions, and the pooled document is the field-wise sum of the month
+documents.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import Article, MonthKey, Sentence, month_key
+from .corpus import Article, ArticleUnits, MonthKey, Sentence, month_key
 from .errors import ConfigError, ContractViolation
 from .nlp import (
     DEGREE_NONE,
@@ -38,7 +39,6 @@ from .tagging import (
     MonthlyDocument,
     PartyLexicon,
     PhraseMatcher,
-    TextTable,
     build_matcher,
     build_monthly_documents,
     get_document,
@@ -75,6 +75,11 @@ class MetricId(str, enum.Enum):
     @property
     def mode(self) -> str:
         return HEADLINE if self is MetricId.COV_HEAD else CONTENT
+
+    @property
+    def reads_row(self) -> bool:
+        """Whether the metric reads its units' feature rows, not only their counts."""
+        return self not in (MetricId.COV_HEAD, MetricId.COV_CONTENT)
 
 
 @dataclass(frozen=True)
@@ -119,16 +124,13 @@ class FeatureRow:
 
 @dataclass
 class AnalyzerSuite:
-    """Lexicons and matcher shared by the content analyzers."""
+    """Lexicons and the run's one party matcher, which tags units and finds
+    the parties whose speech a unit reports."""
 
     valence: ValenceLexicon
     subjectivity: dict
     lexicons: Sequence[PartyLexicon]
-    matcher: PhraseMatcher = None  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.matcher is None:
-            self.matcher = build_matcher(self.lexicons)
+    matcher: PhraseMatcher
 
     def features(self, unit: Sentence) -> FeatureRow:
         """The unit's feature row: both sentiment components come from one pass."""
@@ -138,7 +140,7 @@ class AnalyzerSuite:
             negative=sentiment.negative,
             subjectivity=sentence_subjectivity(unit.tokens, self.subjectivity),
             degree_hits=sum(1 for flag in tag_degree(unit.tokens) if flag != DEGREE_NONE),
-            speakers=tuple(sorted(detect_reported_speech(unit.tokens, self.lexicons, self.matcher))),
+            speakers=tuple(sorted(detect_reported_speech(unit.tokens, self.matcher))),
         )
 
     @classmethod
@@ -147,6 +149,7 @@ class AnalyzerSuite:
             valence=default_valence_lexicon(),
             subjectivity=default_subjectivity_lexicon(),
             lexicons=lexicons,
+            matcher=build_matcher(lexicons),
         )
 
 
@@ -230,37 +233,34 @@ def _check_party_pair(lexicons: Sequence[PartyLexicon]) -> tuple[str, str]:
 
 
 def compute_all_series(
-    articles: Sequence[Article],
-    lexicons: Sequence[PartyLexicon],
-    metrics: Sequence[MetricId] | None = None,
-    suite: AnalyzerSuite | None = None,
-    table: TextTable | None = None,
+    partitions: Mapping[tuple[str, int], Sequence[Article]],
+    units: Mapping[tuple[str, int], Sequence[ArticleUnits]],
+    metrics: Sequence[MetricId],
+    suite: AnalyzerSuite,
 ) -> dict[str, dict[str, ImbalanceSeries]]:
     """Monthly series and pooled scores for several metrics at once.
 
-    Returns {metric value: {outlet: series}}, each series carrying its pooled
-    score. Each outlet's monthly documents are built once per mode and shared
-    by that mode's metrics. The result is independent of article input
-    order. `table` keeps the tagged units; without one, a table is made for
-    this call.
+    `partitions` and `units` map each (outlet, year) to its articles and
+    their units (`corpus.partition`, `corpus.article_units`). Returns
+    {metric value: {outlet: series}}, each series carrying its pooled score.
+    Each partition's documents are built once per mode, featurized only when
+    a metric reads rows; an outlet's documents are the union of its
+    partitions', as a month lies in one year. The result does not depend on
+    article order.
     """
-    metrics = list(MetricId) if metrics is None else list(metrics)
-    if not articles:
+    if not partitions:
         raise ConfigError("corpus is empty")
-    if suite is None:
-        suite = AnalyzerSuite.default(lexicons)
-    if table is None:
-        table = TextTable()
-    party_b, party_c = _check_party_pair(lexicons)
-    span = month_span(articles)
-    by_outlet: dict[str, list[Article]] = {}
-    for article in articles:
-        by_outlet.setdefault(article.outlet, []).append(article)
+    party_b, party_c = _check_party_pair(suite.lexicons)
+    span = month_span(a for articles in partitions.values() for a in articles)
+    rows = any(m.reads_row for m in metrics)
 
     result: dict[str, dict[str, ImbalanceSeries]] = {m.value: {} for m in metrics}
-    for outlet in sorted(by_outlet):
-        for mode in sorted({m.mode for m in metrics}):
-            docs = build_monthly_documents(by_outlet[outlet], lexicons, mode, suite, table)
+    for mode in sorted({m.mode for m in metrics}):
+        docs_by_outlet: dict[str, dict[tuple[MonthKey, str], MonthlyDocument]] = {}
+        for key in sorted(partitions):
+            docs = build_monthly_documents(partitions[key], units[key], mode, suite, rows)
+            docs_by_outlet.setdefault(key[0], {}).update(docs)
+        for outlet, docs in docs_by_outlet.items():
             pooled_b, pooled_c = _pool(docs, party_b, mode), _pool(docs, party_c, mode)
             for metric in metrics:
                 if metric.mode != mode:

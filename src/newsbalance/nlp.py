@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import ConfigError
-from .tagging import PartyLexicon, PhraseMatcher, build_matcher, expand_hyphens
+from .tagging import PhraseMatcher, expand_hyphens
 from ._data import data_path
 
 __all__ = [
@@ -236,20 +236,15 @@ def tag_degree(tokens: Sequence[str]) -> list[str]:
     return flags
 
 
-def detect_reported_speech(
-    tokens: Sequence[str],
-    lexicons: Sequence[PartyLexicon],
-    matcher: PhraseMatcher | None = None,
-) -> set[str]:
-    """Parties whose speech the sentence's tokens report.
+def detect_reported_speech(tokens: Sequence[str], matcher: PhraseMatcher) -> set[str]:
+    """Parties whose speech the sentence's tokens report, as labeled by the
+    party `matcher` (`tagging.build_matcher`).
 
     A party is attributed when one of its phrases occurs before a
     narrative-verb form (say/tell and inflections) with no other finite
     narrative verb between the phrase and that verb: a shallow stand-in for
     subject detection that needs no parser.
     """
-    if matcher is None:
-        matcher = build_matcher(lexicons)
     expanded = expand_hyphens(tokens)
     lowered = [t.lower() for t in expanded]
     verb_positions = [i for i, t in enumerate(lowered) if t in _NARRATIVE_VERBS]

@@ -4,8 +4,9 @@ The model answers one question: given a prompt containing exactly one mask
 slot, return a finite token -> probability map for the slot. The arithmetic
 on top (normalized popularity, token-delta ranking) reads only that map, so
 a slice is asked each prompt once. The model is a deterministic, additively
-smoothed n-gram model of one corpus slice, kept as an array of token ids
-numbered in order of first occurrence, so every probe runs offline.
+smoothed n-gram model of one corpus slice, an (outlet, year) partition's
+article units, kept as an array of token ids numbered in order of first
+occurrence, so every probe runs offline.
 """
 
 from __future__ import annotations
@@ -14,9 +15,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Article, tokenize
+from .corpus import ArticleUnits, tokenize
 from .errors import ContractViolation, DataError, UndefinedProbabilityError
-from .tagging import TextTable
 
 __all__ = [
     "MASK",
@@ -145,23 +145,11 @@ class NgramMaskBackend:
 
 
 def ngram_backend(
-    articles: Iterable[Article],
+    units: Iterable[ArticleUnits],
     order: int,
     smoothing: float,
-    table: TextTable | None = None,
 ) -> NgramMaskBackend:
-    """Build the backend from a corpus slice (headlines plus content).
-
-    `table` supplies each article's units; without one, they are made here.
-    """
-    if table is None:
-        table = TextTable()
-
-    def sentences() -> Iterable[Sequence[str]]:
-        for article in articles:
-            head, content = table.units(article)
-            yield head.tokens
-            for sentence in content:
-                yield sentence.tokens
-
-    return NgramMaskBackend(sentences(), order=order, smoothing=smoothing)
+    """Build the backend from a corpus slice: each article's headline unit and
+    content sentences, as `corpus.article_units` gives them."""
+    sentences = (unit.tokens for headline, content in units for unit in (headline, *content))
+    return NgramMaskBackend(sentences, order=order, smoothing=smoothing)

@@ -7,9 +7,10 @@ common words ("inc.") cannot collide, while multi-word proper names match
 case-insensitively. Hyphenated compounds are split before matching, so
 "Congress-led" still mentions "Congress".
 
-A `TextTable` keeps what a run derives from each article (units, party tags,
-place sets), so the commands that read them split and match each article
-once. A `MonthlyDocument` keeps exact integer sums over its units, not units.
+A `MonthlyDocument` keeps exact integer sums over the units of one month,
+not the units, so pooling documents is a field-wise sum that does not depend
+on the order or grouping of the units. Units are tagged where the documents
+are built; nothing keeps the tags.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ import json
 from collections import defaultdict
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .corpus import Article, MonthKey, Sentence, article_sentences, headline_sentence, month_key, tokenize
-from .errors import ConfigError, ContractViolation
+from .corpus import Article, ArticleUnits, MonthKey, month_key, tokenize
+from .errors import ConfigError
 from ._data import data_path
 
 __all__ = [
@@ -30,7 +31,6 @@ __all__ = [
     "PartyLexicon",
     "PhraseMatcher",
     "MonthlyDocument",
-    "TextTable",
     "load_party_lexicons",
     "default_party_lexicons",
     "build_matcher",
@@ -245,104 +245,36 @@ def build_matcher(lexicons: Sequence[PartyLexicon]) -> PhraseMatcher:
     )
 
 
-class TextTable:
-    """What a run derives from each article, made on first request and kept.
-
-    The table holds each article's units, the party tags of its units and
-    the article's place set per gazetteer level. It keeps no feature rows:
-    `build_monthly_documents` reads each unit's row once and keeps only sums.
-    An entry is made on first request, so a command builds only what it
-    reads, and a run that reads an entry twice builds it once. Entries are
-    per unit or article, never per sentence text, so two articles that share
-    a sentence still cost two units.
-
-    The tools that make entries (party lexicons, gazetteer) come with each
-    request, so the table loads none of them until a request needs it. The
-    first tool of each kind fills its entries; passing another one later is
-    a ContractViolation, because the kept entries are not its own.
-    """
-
-    def __init__(self) -> None:
-        self._units: dict[Article, tuple[Sentence, tuple[Sentence, ...]]] = {}
-        self._lexicons: tuple[PartyLexicon, ...] | None = None
-        self._matcher: PhraseMatcher | None = None
-        self._tags: dict[tuple[Article, str], tuple[frozenset[str], ...]] = {}
-        # One shared frozenset per distinct tag set; most units have the empty one.
-        self._tag_sets: dict[frozenset[str], frozenset[str]] = {}
-        self._gazetteer = None
-        self._place_matchers: dict[str, PhraseMatcher] = {}
-        self._places: dict[tuple[Article, str], frozenset[str]] = {}
-
-    def units(self, article: Article) -> tuple[Sentence, tuple[Sentence, ...]]:
-        """The article's headline unit and its content sentences."""
-        entry = self._units.get(article)
-        if entry is None:
-            entry = self._units[article] = (headline_sentence(article), tuple(article_sentences(article)))
-        return entry
-
-    def tagged(
-        self, article: Article, mode: str, lexicons: Sequence[PartyLexicon]
-    ) -> Iterator[tuple[Sentence, frozenset[str]]]:
-        """(unit, ids of the parties it mentions) for the article's units in one mode."""
-        lexicons = tuple(lexicons)
-        if self._lexicons is None:
-            self._lexicons, self._matcher = lexicons, build_matcher(lexicons)
-        elif lexicons != self._lexicons:
-            raise ContractViolation("the text table's party tags come from other lexicons")
-        headline, content = self.units(article)
-        units = (headline,) if mode == HEADLINE else content
-        tags = self._tags.get((article, mode))
-        if tags is None:
-            found_sets = []
-            for unit in units:
-                found = frozenset(self._matcher.match_tokens(unit.tokens))
-                found_sets.append(self._tag_sets.setdefault(found, found))
-            tags = self._tags[(article, mode)] = tuple(found_sets)
-        return zip(units, tags)
-
-    def places(self, article: Article, level: str, gazetteer) -> frozenset[str]:
-        """Places at this gazetteer level that the article's headline or content names."""
-        if self._gazetteer is None:
-            self._gazetteer = gazetteer
-        elif gazetteer is not self._gazetteer:
-            raise ContractViolation("the text table's place sets come from another gazetteer")
-        found = self._places.get((article, level))
-        if found is None:
-            matcher = self._place_matchers.get(level)
-            if matcher is None:
-                matcher = self._place_matchers[level] = gazetteer.matcher(level)
-            # The content units' tokens, joined, are the content's tokens.
-            headline, content = self.units(article)
-            tokens = [token for unit in (headline, *content) for token in unit.tokens]
-            found = self._places[(article, level)] = frozenset(matcher.match_tokens(tokens))
-        return found
-
-
 def build_monthly_documents(
-    articles: Iterable[Article],
-    lexicons: Sequence[PartyLexicon],
+    articles: Sequence[Article],
+    units: Sequence[ArticleUnits],
     mode: str,
     suite,
-    table: TextTable,
+    rows: bool,
 ) -> dict[tuple[MonthKey, str], MonthlyDocument]:
     """Sum the matching units into per-(month, party) documents, in one pass.
 
-    In headline mode the whole headline is the unit (one per matching article
-    per party); in content mode every matching sentence is a unit, and
-    `suite.features` gives its feature row once. A unit that matches several
-    parties is added to each of their documents. `table` supplies the tagged
-    units. The sums are exact, so the documents do not depend on the order
-    of the articles.
+    `units` holds each article's headline unit and content sentences, in the
+    order of `articles`. In headline mode the whole headline is the unit (one
+    per matching article per party); in content mode every matching sentence
+    is a unit. `suite.matcher` tags each unit with the parties it mentions,
+    and when `rows` is set `suite.features` gives each content unit's feature
+    row once; without rows a content document counts only units and words. A
+    unit that matches several parties is added to each of their documents.
+    The sums are exact, so the documents do not depend on the order of the
+    articles.
     """
     if mode not in _MODES:
         raise ConfigError(f"unknown mode {mode!r}; expected one of {_MODES}")
+    match = suite.matcher.match_tokens
     docs: dict[tuple[MonthKey, str], MonthlyDocument] = {}
-    for article in articles:
+    for article, (headline, content) in zip(articles, units, strict=True):
         month = month_key(article.published)
-        for unit, parties in table.tagged(article, mode, lexicons):
+        for unit in (headline,) if mode == HEADLINE else content:
+            parties = match(unit.tokens)
             if not parties:
                 continue
-            row = suite.features(unit) if mode == CONTENT else None
+            row = suite.features(unit) if rows and mode == CONTENT else None
             for party_id in parties:
                 key = (month, party_id)
                 doc = docs.get(key)

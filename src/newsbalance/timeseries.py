@@ -25,7 +25,6 @@ dendrograms fully deterministic.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,7 +36,6 @@ from .errors import ContractViolation
 
 __all__ = [
     "dtw_distance",
-    "Dendrogram",
     "DendrogramNode",
     "cluster",
     "distance_matrix",
@@ -141,20 +139,6 @@ class DendrogramNode:
         return f"({inner}):{length:.6g}"
 
 
-@dataclass
-class Dendrogram:
-    """Root of the merge tree plus the labels in clustering order."""
-
-    root: DendrogramNode
-    labels: list[str]
-
-    def to_json(self) -> str:
-        return json.dumps(self.root.to_dict(), sort_keys=True)
-
-    def to_newick(self) -> str:
-        return self.root.to_newick()
-
-
 def distance_matrix(series: Mapping[str, Sequence[float]]) -> tuple[list[str], list[list[float]]]:
     """Symmetric DTW distance matrix over lexicographically sorted labels."""
     labels = sorted(series)
@@ -172,8 +156,9 @@ def cluster(
     labels: Sequence[str],
     matrix: Sequence[Sequence[float]],
     linkage: str = "average",
-) -> Dendrogram:
-    """Agglomerative clustering over a precomputed distance matrix.
+) -> DendrogramNode:
+    """Agglomerative clustering over a precomputed distance matrix; returns
+    the root of the merge tree.
 
     `matrix[i][j]` is the distance between `labels[i]` and `labels[j]`. Merge
     ties are broken by the lexicographically smallest pair of leaf-label
@@ -185,7 +170,6 @@ def cluster(
         raise ContractViolation("clustering requires at least 2 labels")
     if len(matrix) != len(labels) or any(len(row) != len(labels) for row in matrix):
         raise ContractViolation("distance matrix must be square, one row per label")
-    labels = list(labels)
     nodes: list[DendrogramNode] = [DendrogramNode(height=0.0, label=lab) for lab in labels]
     members: list[tuple[str, ...]] = [(lab,) for lab in labels]
     sizes: list[int] = [1] * len(labels)
@@ -236,7 +220,7 @@ def cluster(
         active = [k for k in active if k not in (i, j)] + [next_id]
         next_id += 1
 
-    return Dendrogram(root=merge_tree[active[0]], labels=labels)
+    return merge_tree[active[0]]
 
 
 def write_distance_csv(

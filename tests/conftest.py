@@ -5,9 +5,9 @@ import datetime as dt
 import pytest
 from hypothesis import strategies as st
 
-from newsbalance.corpus import Article
+from newsbalance.corpus import Article, article_units, partition
 from newsbalance.geo import Gazetteer, count_mentions
-from newsbalance.metrics import AnalyzerSuite
+from newsbalance.metrics import AnalyzerSuite, compute_all_series
 from newsbalance.synthetic import SynthSpec, generate_corpus
 from newsbalance.tagging import default_party_lexicons
 
@@ -49,12 +49,21 @@ def make_article(
     )
 
 
+def place_counts(articles, gazetteer, level: str) -> dict:
+    """`geo.count_mentions` over the articles' units at one gazetteer level."""
+    return count_mentions(article_units(articles), gazetteer.matcher(level), gazetteer.places(level))
+
+
 def yearly_place_counts(articles, gazetteer, level: str) -> dict:
     """Place counts per (outlet, year), the input of `geo.yearly_geo_trends`."""
-    buckets: dict = {}
-    for article in articles:
-        buckets.setdefault((article.outlet, article.published.year), []).append(article)
-    return {key: count_mentions(group, gazetteer, level) for key, group in buckets.items()}
+    return {key: place_counts(group, gazetteer, level) for key, group in partition(articles).items()}
+
+
+def fold_series(articles, metrics, suite) -> dict:
+    """`metrics.compute_all_series` over the (outlet, year) partitions of the articles."""
+    partitions = partition(articles)
+    units = {key: article_units(group) for key, group in partitions.items()}
+    return compute_all_series(partitions, units, metrics, suite)
 
 
 # Pieces of news text that the sentence splitter and the tokenizer treat

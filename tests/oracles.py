@@ -157,7 +157,8 @@ def float_sum_score(units: Sequence[tuple[int, FeatureRow]], party_id: str, metr
 
 
 def whole_text_places(article: Article, level: str, gazetteer) -> frozenset[str]:
-    """`TextTable.places` as it was before it read the units' tokens: the
-    headline and the whole content tokenized again, then matched."""
+    """The places `geo.count_mentions` finds in one article, found without
+    its units: the headline and the whole content tokenized again, then
+    matched."""
     tokens = tokenize(article.headline) + tokenize(article.content)
     return frozenset(gazetteer.matcher(level).match_tokens(tokens))

@@ -24,11 +24,12 @@ from newsbalance.embeddings import (
 )
 from newsbalance.errors import DegenerateScoreError
 from newsbalance.geo import Gazetteer, bottom_share, homogeneity_inverse_std, yearly_geo_trends
-from newsbalance.metrics import MetricId, compute_all_series, imbalance
+from newsbalance.corpus import article_units
+from newsbalance.metrics import MetricId, imbalance
 from newsbalance.probe import VOTE_PROMPT, ngram_backend, popularity_pair, token_delta_ranking
 from newsbalance.timeseries import cluster, distance_matrix, dtw_distance
 
-from conftest import make_article, yearly_place_counts
+from conftest import fold_series, make_article, yearly_place_counts
 from test_timeseries import brute_force_dtw
 
 
@@ -57,9 +58,7 @@ def test_criterion_01_imbalance_algebra():
 
 
 def test_criterion_02_planted_coverage_recovery(bundled_articles, lexicons, suite):
-    tables = compute_all_series(
-        bundled_articles, lexicons, [MetricId.COV_HEAD, MetricId.COV_CONTENT], suite
-    )
+    tables = fold_series(bundled_articles, [MetricId.COV_HEAD, MetricId.COV_CONTENT], suite)
     for outlet, series in tables["cov_head"].items():
         values = series.values()
         assert len(values) == 24
@@ -98,8 +97,7 @@ def test_criterion_04_clustering_fidelity():
         labels, matrix = distance_matrix(
             {"outlet-a": shared_a, "outlet-b": shared_b, "outlet-c": independent}
         )
-        dendro = cluster(labels, matrix)
-        root = dendro.root.to_dict()
+        root = cluster(labels, matrix).to_dict()
         first = _first_merge(root)
         if sorted(_leaf_labels(first)) == ["outlet-a", "outlet-b"]:
             hits += 1
@@ -280,19 +278,15 @@ def test_criterion_09_probe_arithmetic():
         make_article(id=f"c{i}", content="This election people will vote for Congress.")
         for i in range(15)
     ]
-    p_b, p_c = popularity_pair(ngram_backend(skewed, order=3, smoothing=0.01).query(VOTE_PROMPT), "BJP", "Congress")
+    p_b, p_c = popularity_pair(ngram_backend(article_units(skewed), order=3, smoothing=0.01).query(VOTE_PROMPT), "BJP", "Congress")
     assert p_b + p_c == 1.0
     assert p_b > 0.5  # planted 70/30 direction
 
-    flipped = ngram_backend(
-        [
-            make_article(id=f"x{i}", content="This election people will vote for Congress.")
-            for i in range(9)
-        ]
-        + [make_article(id="y0", content="This election people will vote for BJP.")],
-        order=3,
-        smoothing=0.01,
-    )
+    flipped_articles = [
+        make_article(id=f"x{i}", content="This election people will vote for Congress.")
+        for i in range(9)
+    ] + [make_article(id="y0", content="This election people will vote for BJP.")]
+    flipped = ngram_backend(article_units(flipped_articles), order=3, smoothing=0.01)
     assert popularity_pair(flipped.query(VOTE_PROMPT), "BJP", "Congress")[0] < 0.5
 
     early = {"a": 0.40, "b": 0.10, "c": 0.05, "d": 0.25, "e": 0.20}

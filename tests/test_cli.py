@@ -22,11 +22,11 @@ from newsbalance.cli import RunContext, main
 from newsbalance.config import RunConfig
 from newsbalance.corpus import article_sentences, load_corpus, write_corpus
 from newsbalance.errors import ConfigError, ContractViolation
-from newsbalance.metrics import compute_all_series
+from newsbalance.metrics import AnalyzerSuite, MetricId
 from newsbalance.tagging import build_matcher, default_party_lexicons
 from newsbalance.timeseries import cluster, distance_matrix, drop_missing, z_normalize
 
-from conftest import make_article
+from conftest import fold_series, make_article
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SAMPLE_CONFIG = REPO_ROOT / "sample" / "config.json"
@@ -442,7 +442,7 @@ def test_partition_order_is_total(tmp_path):
         cfg = RunConfig.from_dict({"corpora": dict(zip("abc", names))}, tmp_path)
         with RunContext(cfg) as ctx:
             orders.append(ctx.partitions)
-    assert orders[0] == orders[1] == {("daily-alpha", 2010): [articles[2], articles[1], articles[0], articles[3]]}
+    assert orders[0] == orders[1] == {("daily-alpha", 2010): (articles[2], articles[1], articles[0], articles[3])}
 
 
 def _count_calls(monkeypatch, module, name: str, counts: Counter) -> None:
@@ -461,6 +461,7 @@ def _count_calls(monkeypatch, module, name: str, counts: Counter) -> None:
 def test_report_splits_and_scores_each_article_once(two_year_dir, tmp_path, monkeypatch):
     raw = json.loads((two_year_dir / "config.json").read_text())
     articles = [a for path in raw["corpora"].values() for a in load_corpus(two_year_dir / path)[0]]
+    partitions = {(a.outlet, a.published.year) for a in articles}
     matcher = build_matcher(default_party_lexicons())
     scored_units = sum(
         1 for article in articles for unit in article_sentences(article) if matcher.match_tokens(unit.tokens)
@@ -476,15 +477,63 @@ def test_report_splits_and_scores_each_article_once(two_year_dir, tmp_path, monk
     assert main(["report", "--config", str(two_year_dir / "config.json"), "--out", str(tmp_path)]) == 0
 
     assert counts["load_corpus"] == len(raw["corpora"])
-    # weat's own pass plus the shared text table
+    # weat's own pass plus the units the other commands share
     assert counts["split_sentences"] <= 2 * len(articles)
     assert 0 < counts["sentence_sentiment"] <= scored_units
-    # the series once, from one document build per outlet and mode
+    # the series once, from one document build per (outlet, year) partition and mode
     assert counts["compute_all_series"] == 1
-    assert counts["build_monthly_documents"] == 2 * len(raw["corpora"])
+    assert counts["build_monthly_documents"] == 2 * len(partitions)
     # one DTW distance per pair of clustered series
     labels = json.loads((tmp_path / "cluster" / "cluster.json").read_text())["labels"]
     assert counts["dtw_distance"] == len(labels) * (len(labels) - 1) // 2
+
+
+def test_coverage_metrics_alone_featurize_no_unit(two_year_dir, tmp_path, monkeypatch):
+    """With only the coverage metrics configured, no unit gets a feature row,
+    and their series are the ones the default metrics give."""
+    raw = json.loads((two_year_dir / "config.json").read_text())
+    raw["corpora"] = {k: str(two_year_dir / v) for k, v in raw["corpora"].items()}
+    raw["metrics"] = ["cov_head", "cov_content"]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    counts: Counter = Counter()
+    _count_calls(monkeypatch, nlp, "sentence_sentiment", counts)
+    assert main(["metrics", "--config", str(config), "--out", str(tmp_path / "coverage")]) == 0
+    assert counts["sentence_sentiment"] == 0
+    assert main(["metrics", "--config", str(two_year_dir / "config.json"), "--out", str(tmp_path / "all")]) == 0
+    assert counts["sentence_sentiment"] > 0
+
+    coverage = {p.name: p.read_bytes() for p in (tmp_path / "coverage" / "metrics").glob("*.csv")}
+    assert len(coverage) == 2 * len(raw["corpora"])
+    assert coverage == {
+        p.name: p.read_bytes() for p in (tmp_path / "all" / "metrics").glob("*__cov_*.csv")
+    }
+
+
+def test_report_is_independent_of_blas_threads(two_year_dir, tmp_path):
+    """`report` writes one tree, `.nbe` files included, whether BLAS and OpenMP
+    run one thread or as many as they choose; the alignment uses `@` and `svd`."""
+    trees = []
+    for name in ("one-thread", "unset"):
+        env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        if name == "one-thread":
+            env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")]))
+        out = tmp_path / name
+        result = subprocess.run(
+            [sys.executable, "-m", "newsbalance.cli", "report", "--config", str(two_year_dir / "config.json"),
+             "--out", str(out)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=600,
+        )
+        assert result.returncode == 0, result.stderr
+        stamp = re.compile(rb'"generated_at": "[^"]*"')
+        trees.append({p.relative_to(out): stamp.sub(b"", p.read_bytes()) for p in out.rglob("*") if p.is_file()})
+    assert sum(p.suffix == ".nbe" for p in trees[0]) == 6
+    assert sorted(p for p in trees[0] if trees[0][p] != trees[1].get(p)) == []
+    assert trees[0].keys() == trees[1].keys()
 
 
 @pytest.fixture(scope="module")
@@ -519,7 +568,7 @@ def test_subset_dendrograms_equal_clustering_each_subset_alone(prefix_dir, tmp_p
     payload = json.loads((out / "cluster" / "cluster.json").read_text())
 
     articles = [a for path in raw["corpora"].values() for a in load_corpus(path)[0]]
-    tables = compute_all_series(articles, default_party_lexicons())
+    tables = fold_series(articles, list(MetricId), AnalyzerSuite.default(default_party_lexicons()))
     outlets = sorted({a.outlet for a in articles})
     assert outlets == ["daily", "daily-beta", "daily-gamma"]
 
@@ -530,7 +579,7 @@ def test_subset_dendrograms_equal_clustering_each_subset_alone(prefix_dir, tmp_p
             assert tree is None, stem
             return
         expected = cluster(*distance_matrix(kept), linkage=raw["clustering"]["linkage"])
-        assert tree == expected.root.to_dict(), stem
+        assert tree == expected.to_dict(), stem
         newick = (out / "cluster" / f"dendrogram_{stem}.newick").read_text(encoding="utf-8")
         assert newick == expected.to_newick() + "\n", stem
 

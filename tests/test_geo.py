@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from newsbalance.corpus import article_units
 from newsbalance.errors import ContractViolation
 from newsbalance.geo import (
+    CITY,
+    STATE,
     Gazetteer,
     bottom_share,
     count_mentions,
@@ -12,9 +15,9 @@ from newsbalance.geo import (
     homogeneity_inverse_std,
     yearly_geo_trends,
 )
-from newsbalance.tagging import TextTable
 
-from conftest import make_article, yearly_place_counts
+from conftest import adversarial_text, make_article, place_counts, yearly_place_counts
+from oracles import whole_text_places
 
 
 def toy_gazetteer(names):
@@ -24,61 +27,63 @@ def toy_gazetteer(names):
 class TestCountMentions:
     def test_repetition_counts_once(self, gazetteer):
         article = make_article(content="Delhi Delhi Delhi. Delhi again, Delhi.")
-        counts = count_mentions([article], gazetteer, level="city")
+        counts = place_counts([article], gazetteer, "city")
         assert counts["Delhi"] == 1
 
     def test_two_cities_both_counted(self, gazetteer):
         article = make_article(content="Trains between Delhi and Mumbai resumed.")
-        counts = count_mentions([article], gazetteer, level="city")
+        counts = place_counts([article], gazetteer, "city")
         assert counts["Delhi"] == 1 and counts["Mumbai"] == 1
 
     def test_alias_folding(self, gazetteer):
         article = make_article(content="Odisha approved the port project.")
-        counts = count_mentions([article], gazetteer, level="state")
+        counts = place_counts([article], gazetteer, "state")
         assert counts["Orissa"] == 1
 
     def test_case_insensitive_whole_token(self, gazetteer):
-        counts = count_mentions([make_article(content="DELHI stays warm")], gazetteer, "city")
+        counts = place_counts([make_article(content="DELHI stays warm")], gazetteer, "city")
         assert counts["Delhi"] == 1
-        counts = count_mentions([make_article(content="The Delhiites cheered")], gazetteer, "city")
+        counts = place_counts([make_article(content="The Delhiites cheered")], gazetteer, "city")
         assert counts["Delhi"] == 0
 
     def test_multi_token_state(self, gazetteer):
         article = make_article(content="Votes were counted in Tamil Nadu today.")
-        counts = count_mentions([article], gazetteer, level="state")
+        counts = place_counts([article], gazetteer, "state")
         assert counts["Tamil Nadu"] == 1
 
     def test_headline_also_counts(self, gazetteer):
         article = make_article(headline="Mumbai metro opens", content="No places here.")
-        assert count_mentions([article], gazetteer, "city")["Mumbai"] == 1
+        assert place_counts([article], gazetteer, "city")["Mumbai"] == 1
 
     def test_order_independent(self, gazetteer):
         articles = [
             make_article(id="a1", content="Delhi hosted talks."),
             make_article(id="a2", content="Mumbai and Delhi traded."),
         ]
-        assert count_mentions(articles, gazetteer, "city") == count_mentions(
+        assert place_counts(articles, gazetteer, "city") == place_counts(
             list(reversed(articles)), gazetteer, "city"
         )
 
     def test_zero_count_places_present(self, gazetteer):
-        counts = count_mentions([make_article(content="Nothing located")], gazetteer, "city")
+        counts = place_counts([make_article(content="Nothing located")], gazetteer, "city")
         assert len(counts) == 25
         assert all(v == 0 for v in counts.values())
 
+    def test_places_equal_the_whole_text_oracle(self, gazetteer, bundled_articles):
+        articles = bundled_articles[:300]
+        for level in (CITY, STATE):
+            matcher, places = gazetteer.matcher(level), gazetteer.places(level)
+            for article, units in zip(articles, article_units(articles), strict=True):
+                counts = count_mentions((units,), matcher, places)
+                assert {p for p, n in counts.items() if n} == whole_text_places(article, level, gazetteer)
 
-    def test_shared_table_counts_the_same(self, gazetteer):
-        articles = [
-            make_article(id="a", content="Delhi and Odisha."),
-            make_article(id="b", content="Mumbai."),
-        ]
-        table = TextTable()
-        for level in ("city", "state"):
-            expected = count_mentions(articles, gazetteer, level)
-            assert count_mentions(articles, gazetteer, level, table) == expected
-            assert count_mentions(articles, gazetteer, level, table) == expected
-        with pytest.raises(ContractViolation):
-            count_mentions(articles, Gazetteer.default(), "city", table)
+    @settings(max_examples=200, deadline=None)
+    @given(adversarial_text, adversarial_text)
+    def test_places_of_adversarial_texts(self, gazetteer, headline, content):
+        article = make_article(headline=headline, content=content)
+        for level in (CITY, STATE):
+            counts = place_counts([article], gazetteer, level)
+            assert {p for p, n in counts.items() if n} == whole_text_places(article, level, gazetteer)
 
 
 class TestDistributionAndHomogeneity:

@@ -2,13 +2,14 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import datetime as dt
 import struct
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from newsbalance.corpus import MonthKey, Sentence
+from newsbalance.corpus import MonthKey, Sentence, article_units
 from newsbalance.errors import ConfigError, ContractViolation
 from newsbalance.metrics import (
     AnalyzerSuite,
@@ -26,9 +27,9 @@ from newsbalance.metrics import (
     write_series_csv,
 )
 from newsbalance.nlp import ValenceLexicon, sentence_sentiment
-from newsbalance.tagging import CONTENT, HEADLINE, MonthlyDocument, TextTable, build_monthly_documents
+from newsbalance.tagging import CONTENT, HEADLINE, MonthlyDocument, build_matcher, build_monthly_documents
 
-from conftest import make_article
+from conftest import fold_series, make_article
 from oracles import float_sum_score
 
 MONTH = MonthKey(2010, 1)
@@ -39,9 +40,35 @@ scores = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_subnorma
 sane_scores = st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=1e6))
 
 
-def series_for(articles, lexicons, metric, suite):
+# Articles of two outlets over three years, whose texts mention either party,
+# both or neither, in tones that every metric reads.
+_FOLD_TEXTS = [
+    "BJP said the good plan works.",
+    "Congress told voters the best deal failed badly.",
+    "BJP and Congress argued about a worse and sad result.",
+    "The weather was calm.",
+    "Congress-led NDA rallies praised great honest work.",
+]
+fold_articles = st.builds(
+    make_article,
+    outlet=st.sampled_from(["daily-alpha", "daily-beta"]),
+    published=st.dates(dt.date(2010, 1, 1), dt.date(2012, 12, 31)).map(dt.date.isoformat),
+    headline=st.sampled_from(_FOLD_TEXTS),
+    content=st.lists(st.sampled_from(_FOLD_TEXTS), max_size=3).map(" ".join),
+)
+
+
+def partition_by_outlet(articles):
+    """One partition per outlet, keyed (outlet, 0), in record order."""
+    partitions: dict = {}
+    for article in articles:
+        partitions.setdefault((article.outlet, 0), []).append(article)
+    return partitions
+
+
+def series_for(articles, metric, suite):
     """{outlet: series} for one metric, as the commands compute it."""
-    return compute_all_series(articles, lexicons, [metric], suite)[metric.value]
+    return fold_series(articles, [metric], suite)[metric.value]
 
 
 def content_units(texts):
@@ -129,6 +156,7 @@ class TestScoreDocument:
             valence=ValenceLexicon(valences={}, boosters={}, negators=frozenset()),
             subjectivity={"filler": 0.5, "pad": 0.1},
             lexicons=lexicons,
+            matcher=build_matcher(lexicons),
         )
         doc = content_doc([" ".join(["filler"] * 10), " ".join(["pad"] * 30)], suite)
         assert score_document(doc, MetricId.SUBJ) == pytest.approx(0.2, abs=1e-12)
@@ -254,7 +282,7 @@ class TestComputeSeries:
             make_article(id=f"a{i}", headline="BJP rally today", content="Neutral.")
             for i in range(3)
         ]
-        series = series_for(articles, lexicons, MetricId.COV_HEAD, suite)["daily-alpha"]
+        series = series_for(articles, MetricId.COV_HEAD, suite)["daily-alpha"]
         assert [p.value for p in series.points] == [1.0]
 
     def test_month_without_matches_is_missing(self, lexicons, suite):
@@ -262,7 +290,7 @@ class TestComputeSeries:
             make_article(id="a1", published="2010-01-10", headline="BJP speaks", content="x"),
             make_article(id="a2", published="2010-02-10", headline="Weather news", content="x"),
         ]
-        series = series_for(articles, lexicons, MetricId.COV_HEAD, suite)["daily-alpha"]
+        series = series_for(articles, MetricId.COV_HEAD, suite)["daily-alpha"]
         assert series.points[0].value == 1.0
         assert series.points[1].value is None
 
@@ -272,7 +300,7 @@ class TestComputeSeries:
         ] + [
             make_article(id=f"c{i}", headline="Congress gains", content="x") for i in range(3)
         ]
-        series = series_for(articles, lexicons, MetricId.COV_HEAD, suite)["daily-alpha"]
+        series = series_for(articles, MetricId.COV_HEAD, suite)["daily-alpha"]
         assert series.points[0].value == 0.4
 
     def test_series_covers_span_per_outlet(self, lexicons, suite):
@@ -280,13 +308,13 @@ class TestComputeSeries:
             make_article(id="a1", published="2010-01-05", headline="BJP x", content="y"),
             make_article(id="a2", published="2010-04-05", headline="Congress y", content="y"),
         ]
-        series = series_for(articles, lexicons, MetricId.COV_HEAD, suite)["daily-alpha"]
+        series = series_for(articles, MetricId.COV_HEAD, suite)["daily-alpha"]
         assert [str(p.month) for p in series.points] == ["2010-01", "2010-02", "2010-03", "2010-04"]
 
     def test_input_order_does_not_matter(self, lexicons, suite, bundled_articles):
         sample = list(bundled_articles[:150])
-        forward = series_for(sample, lexicons, MetricId.POS_SENT, suite)
-        backward = series_for(list(reversed(sample)), lexicons, MetricId.POS_SENT, suite)
+        forward = series_for(sample, MetricId.POS_SENT, suite)
+        backward = series_for(list(reversed(sample)), MetricId.POS_SENT, suite)
         for outlet in forward:
             fv = [p.value for p in forward[outlet].points]
             bv = [p.value for p in backward[outlet].points]
@@ -294,11 +322,25 @@ class TestComputeSeries:
 
     def test_empty_corpus_rejected(self, lexicons, suite):
         with pytest.raises(ConfigError):
-            series_for([], lexicons, MetricId.COV_HEAD, suite)
+            series_for([], MetricId.COV_HEAD, suite)
 
     def test_requires_exactly_two_lexicons(self, lexicons, suite):
+        one = dataclasses.replace(suite, lexicons=lexicons[:1], matcher=build_matcher(lexicons[:1]))
         with pytest.raises(ConfigError):
-            series_for([make_article()], lexicons[:1], MetricId.COV_HEAD, suite)
+            series_for([make_article()], MetricId.COV_HEAD, one)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(fold_articles, min_size=1, max_size=30))
+    def test_yearly_partitions_equal_one_partition_per_outlet(self, suite, articles):
+        """An outlet's series from its yearly partitions equal those from all
+        its articles in one partition, bitwise."""
+        articles = [dataclasses.replace(a, id=f"a{i}") for i, a in enumerate(articles)]
+        yearly = fold_series(articles, list(MetricId), suite)
+        whole = partition_by_outlet(articles)
+        units = {key: article_units(group) for key, group in whole.items()}
+        pooled = compute_all_series(whole, units, list(MetricId), suite)
+        assert pooled == yearly
+        assert repr(pooled) == repr(yearly)
 
 
 class TestAggregates:
@@ -307,7 +349,7 @@ class TestAggregates:
             make_article(id="a1", headline="BJP up", content="c"),
             make_article(id="a2", headline="Congress down", content="c"),
         ]
-        series = series_for(articles, lexicons, MetricId.COV_HEAD, suite)["daily-alpha"]
+        series = series_for(articles, MetricId.COV_HEAD, suite)["daily-alpha"]
         assert series.pooled == series.points[0].value
 
     def test_pooled_counts_cancel(self, lexicons, suite):
@@ -318,7 +360,7 @@ class TestAggregates:
             make_article(id=f"c{i}", published="2010-02-10", headline="Congress y", content="c")
             for i in range(10)
         ]
-        series = series_for(articles, lexicons, MetricId.COV_HEAD, suite)["daily-alpha"]
+        series = series_for(articles, MetricId.COV_HEAD, suite)["daily-alpha"]
         assert [p.value for p in series.points] == [1.0, -1.0]
         assert series.pooled == 0
 
@@ -328,8 +370,8 @@ class TestAggregates:
             make_article(id="a2", published="2010-02-10", content="Congress made a bad and dishonest move."),
             make_article(id="a3", published="2010-02-11", content="BJP plans were honest and good."),
         ]
-        series = series_for(articles, lexicons, MetricId.POS_SENT, suite)["daily-alpha"]
-        docs = build_monthly_documents(articles, lexicons, CONTENT, suite, TextTable())
+        series = series_for(articles, MetricId.POS_SENT, suite)["daily-alpha"]
+        docs = build_monthly_documents(articles, article_units(articles), CONTENT, suite, True)
         pooled = []
         for party in ("bjp", "congress"):
             doc = MonthlyDocument(month=MONTH, party_id=party, mode=CONTENT)
@@ -339,7 +381,7 @@ class TestAggregates:
             pooled.append(doc)
         # The sum of the month documents is the document of all units in one month.
         one_month = [dataclasses.replace(a, published=articles[0].published) for a in articles]
-        single = build_monthly_documents(one_month, lexicons, CONTENT, suite, TextTable())
+        single = build_monthly_documents(one_month, article_units(one_month), CONTENT, suite, True)
         assert pooled == [single[(MONTH, "bjp")], single[(MONTH, "congress")]]
         assert series.pooled == aggregate_pooled(pooled[0], pooled[1], MetricId.POS_SENT)
         assert series.pooled == imbalance(
@@ -367,7 +409,7 @@ class TestAggregates:
 
     def test_mean_abs_bounds(self, lexicons, suite, bundled_articles):
         sample = bundled_articles[:300]
-        for outlet, series in series_for(sample, lexicons, MetricId.COV_CONTENT, suite).items():
+        for outlet, series in series_for(sample, MetricId.COV_CONTENT, suite).items():
             value = aggregate_mean_abs(series)
             assert value is None or 0.0 <= value <= 1.0
 
@@ -395,7 +437,7 @@ def test_series_csv_round_trips_missing(tmp_path, lexicons, suite):
         make_article(id="a1", published="2010-01-10", headline="BJP speaks", content="x"),
         make_article(id="a2", published="2010-02-10", headline="No party here", content="x"),
     ]
-    series = series_for(articles, lexicons, MetricId.COV_HEAD, suite)["daily-alpha"]
+    series = series_for(articles, MetricId.COV_HEAD, suite)["daily-alpha"]
     path = tmp_path / "series.csv"
     write_series_csv(series, path)
     with path.open() as handle:

@@ -180,28 +180,32 @@ class TestTagDegree:
 
 
 class TestReportedSpeech:
-    def test_canonical_pattern(self, lexicons):
-        assert detect_reported_speech(tokenize("BJP said the bill will pass"), lexicons) == {"bjp"}
+    @pytest.fixture
+    def matcher(self, lexicons):
+        return build_matcher(lexicons)
 
-    def test_keyword_after_verb_not_attributed(self, lexicons):
+    def test_canonical_pattern(self, matcher):
+        assert detect_reported_speech(tokenize("BJP said the bill will pass"), matcher) == {"bjp"}
+
+    def test_keyword_after_verb_not_attributed(self, matcher):
         sentence = "The minister told reporters that Congress objected"
-        assert detect_reported_speech(tokenize(sentence), lexicons) == set()
+        assert detect_reported_speech(tokenize(sentence), matcher) == set()
 
-    def test_both_parties_before_verb(self, lexicons):
+    def test_both_parties_before_verb(self, matcher):
         sentence = "BJP and Congress said the talks failed"
-        assert detect_reported_speech(tokenize(sentence), lexicons) == {"bjp", "congress"}
+        assert detect_reported_speech(tokenize(sentence), matcher) == {"bjp", "congress"}
 
-    def test_intervening_finite_verb_blocks(self, lexicons):
+    def test_intervening_finite_verb_blocks(self, matcher):
         sentence = "BJP said officials told reporters about Congress"
-        assert detect_reported_speech(tokenize(sentence), lexicons) == {"bjp"}
+        assert detect_reported_speech(tokenize(sentence), matcher) == {"bjp"}
 
-    def test_no_narrative_verb(self, lexicons):
-        assert detect_reported_speech(tokenize("BJP campaigned across the state"), lexicons) == set()
+    def test_no_narrative_verb(self, matcher):
+        assert detect_reported_speech(tokenize("BJP campaigned across the state"), matcher) == set()
 
-    def test_nonfinite_form_does_not_block(self, lexicons):
+    def test_nonfinite_form_does_not_block(self, matcher):
         # "saying" anchors an attribution but must not block the earlier phrase
         sentence = "Congress kept saying the deal was dead"
-        assert detect_reported_speech(tokenize(sentence), lexicons) == {"congress"}
+        assert detect_reported_speech(tokenize(sentence), matcher) == {"congress"}
 
     @pytest.mark.parametrize(
         "sentence",
@@ -212,6 +216,6 @@ class TestReportedSpeech:
             "Nothing to see here",
         ],
     )
-    def test_attribution_implies_mention(self, lexicons, sentence):
-        attributed = detect_reported_speech(tokenize(sentence), lexicons)
-        assert attributed <= build_matcher(lexicons).match_tokens(tokenize(sentence))
+    def test_attribution_implies_mention(self, matcher, sentence):
+        attributed = detect_reported_speech(tokenize(sentence), matcher)
+        assert attributed <= matcher.match_tokens(tokenize(sentence))

@@ -5,6 +5,7 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from newsbalance.corpus import article_units
 from newsbalance.errors import ContractViolation, DataError, UndefinedProbabilityError
 from newsbalance.probe import (
     MASK,
@@ -104,7 +105,8 @@ class TestTokenDeltaRanking:
         assert falling == []
 
 
-def vote_articles(b_count, c_count):
+def vote_units(b_count, c_count):
+    """The units of b_count articles that vote for BJP and c_count that vote for Congress."""
     articles = []
     for i in range(b_count):
         articles.append(
@@ -114,27 +116,27 @@ def vote_articles(b_count, c_count):
         articles.append(
             make_article(id=f"c{i}", content="This election people will vote for Congress.")
         )
-    return articles
+    return article_units(articles)
 
 
 class TestNgramBackend:
     def test_dominant_party_near_one(self):
-        backend = ngram_backend(vote_articles(50, 0), order=3, smoothing=0.01)
+        backend = ngram_backend(vote_units(50, 0), order=3, smoothing=0.01)
         assert popularity_pair(backend.query(VOTE_PROMPT), "BJP", "Congress")[0] > 0.99
 
     def test_balanced_corpus_half(self):
-        backend = ngram_backend(vote_articles(25, 25), order=3, smoothing=0.01)
+        backend = ngram_backend(vote_units(25, 25), order=3, smoothing=0.01)
         assert popularity_pair(backend.query(VOTE_PROMPT), "BJP", "Congress")[0] == pytest.approx(0.5, abs=1e-9)
 
     def test_unseen_context_uniform(self):
-        backend = ngram_backend(vote_articles(5, 5), order=3, smoothing=0.01)
+        backend = ngram_backend(vote_units(5, 5), order=3, smoothing=0.01)
         result = backend.query("zebras quietly poll <mask>")
         values = set(result.values())
         assert len(values) == 1
         assert sum(result.values()) == pytest.approx(1.0, abs=1e-9)
 
     def test_scores_sum_at_most_one(self):
-        backend = ngram_backend(vote_articles(10, 5), order=3, smoothing=0.01)
+        backend = ngram_backend(vote_units(10, 5), order=3, smoothing=0.01)
         result = backend.query(VOTE_PROMPT)
         assert all(v >= 0 for v in result.values())
         assert sum(result.values()) <= 1.0 + 1e-9
@@ -143,13 +145,13 @@ class TestNgramBackend:
         articles = [
             make_article(id="r1", content="They vote for BJP today. They vote for Congress now."),
         ]
-        backend = ngram_backend([articles[0]], order=3, smoothing=0.01)
+        backend = ngram_backend(article_units(articles), order=3, smoothing=0.01)
         scores = backend.query("They vote for <mask> today.")
         assert scores["BJP"] > scores["Congress"]
 
     def test_deterministic(self):
-        first = ngram_backend(vote_articles(8, 3), order=3, smoothing=0.01).query(VOTE_PROMPT)
-        second = ngram_backend(vote_articles(8, 3), order=3, smoothing=0.01).query(VOTE_PROMPT)
+        first = ngram_backend(vote_units(8, 3), order=3, smoothing=0.01).query(VOTE_PROMPT)
+        second = ngram_backend(vote_units(8, 3), order=3, smoothing=0.01).query(VOTE_PROMPT)
         assert first == second
 
     def test_empty_corpus_rejected(self):
@@ -159,7 +161,7 @@ class TestNgramBackend:
             NgramMaskBackend([[], []], order=3, smoothing=0.01)
 
     def test_multiple_masks_rejected(self):
-        backend = ngram_backend(vote_articles(2, 2), order=3, smoothing=0.01)
+        backend = ngram_backend(vote_units(2, 2), order=3, smoothing=0.01)
         with pytest.raises(ContractViolation):
             backend.query("<mask> versus <mask>")
 

@@ -3,18 +3,17 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from newsbalance import tagging
-from newsbalance.corpus import MonthKey, article_sentences, headline_sentence, month_key, tokenize
-from newsbalance.errors import ConfigError, ContractViolation
+from newsbalance.corpus import MonthKey, article_sentences, article_units, headline_sentence, month_key, tokenize
+from newsbalance.errors import ConfigError
 from newsbalance.geo import CITY, STATE, Gazetteer
 from newsbalance.tagging import (
     CONTENT,
     HEADLINE,
     PartyLexicon,
     PhraseMatcher,
-    TextTable,
     build_matcher,
     build_monthly_documents,
     get_document,
@@ -22,12 +21,12 @@ from newsbalance.tagging import (
 )
 from newsbalance._data import data_path
 
-from conftest import adversarial_text, make_article
-from oracles import ExpandEachCallPhraseMatcher, whole_text_places
+from conftest import make_article
+from oracles import ExpandEachCallPhraseMatcher
 
 
 def match_parties(text, lexicons):
-    """Party ids whose lexicon matches the text (or token sequence), as the text table tags units."""
+    """Party ids whose lexicon matches the text (or token sequence), as `build_monthly_documents` tags units."""
     tokens = tokenize(text) if isinstance(text, str) else text
     return build_matcher(lexicons).match_tokens(tokens)
 
@@ -81,7 +80,9 @@ class TestLexiconLoading:
 
 
 def build(articles, lexicons, mode, suite):
-    return build_monthly_documents(articles, lexicons, mode, suite, TextTable())
+    """The documents of the articles, tagged with these lexicons."""
+    suite = dataclasses.replace(suite, lexicons=lexicons, matcher=build_matcher(lexicons))
+    return build_monthly_documents(articles, article_units(articles), mode, suite, True)
 
 
 class TestBuildMonthlyDocuments:
@@ -154,36 +155,6 @@ class TestBuildMonthlyDocuments:
         forward = build(sample, lexicons, CONTENT, suite)
         backward = build(list(reversed(sample)), lexicons, CONTENT, suite)
         assert forward == backward
-
-
-class TestTextTable:
-    def test_entries_are_made_once(self, lexicons):
-        table = TextTable()
-        article = make_article(content="The BJP met. Congress left.")
-        assert table.units(article) is table.units(article)
-        first = list(table.tagged(article, CONTENT, lexicons))
-        assert [tags for _, tags in first] == [{"bjp"}, {"congress"}]
-        assert list(table.tagged(article, CONTENT, lexicons)) == first
-
-    def test_other_lexicons_are_refused(self, lexicons):
-        table = TextTable()
-        article = make_article(headline="BJP wins")
-        list(table.tagged(article, HEADLINE, lexicons))
-        with pytest.raises(ContractViolation):
-            table.tagged(article, HEADLINE, lexicons[::-1])
-
-    def test_places_equal_the_whole_text_oracle(self, gazetteer, bundled_articles):
-        table = TextTable()
-        for article in bundled_articles[:300]:
-            for level in (CITY, STATE):
-                assert table.places(article, level, gazetteer) == whole_text_places(article, level, gazetteer)
-
-    @settings(max_examples=200, deadline=None)
-    @given(adversarial_text, adversarial_text)
-    def test_places_of_adversarial_texts(self, gazetteer, headline, content):
-        article = make_article(headline=headline, content=content)
-        for level in (CITY, STATE):
-            assert TextTable().places(article, level, gazetteer) == whole_text_places(article, level, gazetteer)
 
 
 @given(

@@ -180,7 +180,7 @@ def cluster_series(series, linkage="average"):
 class TestCluster:
     def test_identical_pair_merges_first(self):
         dendro = cluster_series({"n1": [0.0, 0.2], "n2": [0.0, 0.2], "far": [1.0, -1.0]})
-        first_merge = _deepest_internal(dendro.root)
+        first_merge = _deepest_internal(dendro)
         assert sorted(_leaves(first_merge)) == ["n1", "n2"]
         assert first_merge["height"] == 0.0
 
@@ -192,7 +192,7 @@ class TestCluster:
         d_bc = dtw_distance(series["b"], series["c"])
         assert d_ab == d_ac == d_bc == 4.0
         dendro = cluster_series(series)
-        first_merge = _deepest_internal(dendro.root)
+        first_merge = _deepest_internal(dendro)
         assert sorted(_leaves(first_merge)) == ["a", "b"]
 
     def test_twenty_one_leaves(self):
@@ -203,19 +203,19 @@ class TestCluster:
             for m in range(7)
         }
         dendro = cluster_series(series)
-        assert sorted(dendro.root.leaves()) == sorted(series)
-        assert len(dendro.root.leaves()) == 21
+        assert sorted(dendro.leaves()) == sorted(series)
+        assert len(dendro.leaves()) == 21
 
     def test_missing_points_dropped(self):
         dendro = cluster_series({"x": [None, 0.5, None, 0.5], "y": [0.5, 0.5], "z": [9.0, 9.0]})
-        first_merge = _deepest_internal(dendro.root)
+        first_merge = _deepest_internal(dendro)
         assert sorted(_leaves(first_merge)) == ["x", "y"]
 
     def test_heights_monotone_average_linkage(self):
         rng = random.Random(11)
         series = {f"s{i}": [rng.uniform(-1, 1) for _ in range(10)] for i in range(8)}
         dendro = cluster_series(series, linkage="average")
-        assert _heights_monotone(dendro.root)
+        assert _heights_monotone(dendro)
 
     def test_too_few_series_rejected(self):
         with pytest.raises(ContractViolation):
@@ -242,13 +242,13 @@ class TestCluster:
         labels, matrix = distance_matrix(series)
         order = [3, 0, 5, 1, 4, 2]
         shuffled = cluster([labels[i] for i in order], [[matrix[i][j] for j in order] for i in order])
-        assert cluster(labels, matrix).to_json() == shuffled.to_json()
+        assert cluster(labels, matrix).to_dict() == shuffled.to_dict()
 
     def test_newick_and_json_outputs(self):
         dendro = cluster_series({"a": [0.0], "b": [0.0], "c": [4.0]})
         newick = dendro.to_newick()
         assert newick.endswith(";") and "a" in newick and "c" in newick
-        tree = json.loads(dendro.to_json())
+        tree = json.loads(json.dumps(dendro.to_dict()))
         assert set(tree) == {"height", "children"}
 
 
