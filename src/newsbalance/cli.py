@@ -242,11 +242,16 @@ class RunContext:
                 logger.info(
                     "SGNS %s: years %s, %d tokens, %.2f s in %s",
                     result.outlet,
-                    ",".join(str(s.year) for s in result.spaces),
-                    result.tokens,
-                    result.seconds,
+                    ",".join(str(y.year) for y in result.years),
+                    sum(y.tokens for y in result.years),
+                    sum(y.seconds for y in result.years),
                     where,
                 )
+                for y in result.years:
+                    logger.info(
+                        "%s %d: %d tokens, vocabulary %d, %d pairs, %.2f s",
+                        result.outlet, y.year, y.tokens, y.vocab, y.pairs, y.seconds,
+                    )
                 spaces[result.outlet] = result.spaces
         return {outlet: spaces[outlet] for outlet in sorted(spaces)}
 

@@ -13,15 +13,32 @@ same float32 additions in the same order as a row scatter into the 2-D table
 (chunk rows in order, the blocks in order), so the vectors are bitwise equal
 to that scatter's.
 
+Beside its sentences, a year's training holds, at most:
+
+- each in-vocabulary token's id and sentence index, int32;
+- one epoch's (center, context) pairs, int32, and, while that epoch is
+  drawn, its int64 permutation;
+- the two vocabulary x dim float32 tables;
+- one chunk's buffers, made once per model. The largest is the chunk's
+  gathered out-table rows, chunk_pairs x (negatives + 1) x dim float32
+  (9.8 MB at the default chunk, 5 negatives and dim 100). The out-table's
+  gradient product and the flat indices are held one scatter block at a
+  time.
+
+To keep the draws of the generator, every epoch's pairs are first drawn and
+dropped, which counts them for the learning-rate decay and leaves the
+generator where the vector draw reads it. Training then draws each epoch
+again from a copy of the generator taken at that epoch's start.
+
 Alignment is orthogonal Procrustes over the most frequent shared tokens; an
 identity mode is available for pipelines that assume already-shared axes.
 """
 
 from __future__ import annotations
 
+import copy
 import logging
 import struct
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -57,8 +74,10 @@ logger = logging.getLogger(__name__)
 _MAGIC = b"NBEM"
 _FORMAT_VERSION = 1
 
-# Rows per flat-index block in `_scatter_add`: an index for a whole chunk
-# (24,576 rows of the out-table at the default chunk size) raises peak RSS.
+# Table rows per scatter block: `_scatter_add` writes the flat indices of this
+# many rows at a time, and training makes the out-table's gradient product
+# for this many rows of a chunk (24,576 at the default chunk and 5
+# negatives) at a time, so neither exists for the whole chunk.
 _SCATTER_BLOCK_ROWS = 4096
 
 
@@ -84,12 +103,17 @@ class SgnsParams:
 
 @dataclass
 class EmbeddingSpace:
-    """A year's vocabulary and dense vectors; row order is frequency order."""
+    """A year's vocabulary and dense vectors; row order is frequency order.
+
+    `pairs` counts the (center, context) pairs over all epochs that
+    `train_sgns` trained the space on; it is 0 for a space read from a file.
+    """
 
     year: int
     dim: int
     vocab: dict
     vectors: np.ndarray
+    pairs: int = 0
 
     def vector(self, token: str) -> np.ndarray:
         index = self.vocab.get(token)
@@ -132,33 +156,42 @@ class AlignmentTransform:
         return rows @ self.matrix.T
 
 
-def _build_vocab(sentences: Sequence[Sequence[str]], min_count: int) -> tuple[dict, np.ndarray]:
-    counts = Counter()
-    for sentence in sentences:
-        counts.update(sentence)
+def _encode(
+    sentences: Sequence[Sequence[str]], min_count: int
+) -> tuple[dict, np.ndarray, np.ndarray, np.ndarray]:
+    """The vocabulary in (-count, token) order, its counts as float64, and the
+    id and sentence index of every in-vocabulary token, as int32.
+
+    Tokens get provisional ids in order of first occurrence; one `bincount`
+    counts them, and one gather remaps them to vocabulary ids (-1 for a
+    dropped type).
+    """
+    types: dict[str, int] = {}
+    lengths = np.fromiter((len(s) for s in sentences), dtype=np.int64, count=len(sentences))
+    provisional = np.fromiter(
+        (types.setdefault(token, len(types)) for sentence in sentences for token in sentence),
+        dtype=np.int32,
+        count=int(lengths.sum()),
+    )
+    counts = np.bincount(provisional, minlength=len(types))
+    names = list(types)
+    by_id = counts.tolist()
     kept = sorted(
-        (token for token, count in counts.items() if count >= min_count),
-        key=lambda t: (-counts[t], t),
+        (i for i, count in enumerate(by_id) if count >= min_count),
+        key=lambda i: (-by_id[i], names[i]),
     )
     if not kept:
         raise DataError(f"vocabulary empty after min_count={min_count} filtering")
-    vocab = {token: i for i, token in enumerate(kept)}
-    freqs = np.array([counts[t] for t in kept], dtype=np.float64)
-    return vocab, freqs
-
-
-def _encode_sentences(
-    sentences: Sequence[Sequence[str]], vocab: dict
-) -> tuple[np.ndarray, np.ndarray]:
-    token_ids: list[int] = []
-    sentence_ids: list[int] = []
-    for sid, sentence in enumerate(sentences):
-        for token in sentence:
-            index = vocab.get(token)
-            if index is not None:
-                token_ids.append(index)
-                sentence_ids.append(sid)
-    return np.array(token_ids, dtype=np.int64), np.array(sentence_ids, dtype=np.int64)
+    remap = np.full(len(names), -1, dtype=np.int32)
+    remap[kept] = np.arange(len(kept), dtype=np.int32)
+    tokens = remap[provisional]
+    sentence_ids = np.repeat(np.arange(len(sentences), dtype=np.int32), lengths)
+    if len(kept) < len(names):
+        known = tokens >= 0
+        tokens = tokens[known]
+        sentence_ids = sentence_ids[known]
+    vocab = {names[i]: rank for rank, i in enumerate(kept)}
+    return vocab, counts[kept].astype(np.float64), tokens, sentence_ids
 
 
 def _epoch_pairs(
@@ -168,46 +201,119 @@ def _epoch_pairs(
     window: int,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(center, context) id pairs for one epoch, after subsampling."""
+    """(center, context) id pairs for one epoch, after subsampling, with the ids' dtype."""
     if keep_prob is not None:
         mask = rng.random(tokens.shape[0]) < keep_prob[tokens]
         tokens = tokens[mask]
         sentences = sentences[mask]
     count = tokens.shape[0]
     if count == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        return tokens[:0], tokens[:0]
     spans = rng.integers(1, window + 1, size=count)
     centers: list[np.ndarray] = []
     contexts: list[np.ndarray] = []
     for offset in range(1, window + 1):
         if count <= offset:
             break
-        left = np.arange(count - offset)
-        right = left + offset
-        same = sentences[left] == sentences[right]
-        fwd = same & (spans[left] >= offset)
-        centers.append(tokens[left[fwd]])
-        contexts.append(tokens[right[fwd]])
-        bwd = same & (spans[right] >= offset)
-        centers.append(tokens[right[bwd]])
-        contexts.append(tokens[left[bwd]])
+        left, right = tokens[:-offset], tokens[offset:]
+        same = sentences[:-offset] == sentences[offset:]
+        fwd = same & (spans[:-offset] >= offset)
+        centers.append(left[fwd])
+        contexts.append(right[fwd])
+        bwd = same & (spans[offset:] >= offset)
+        centers.append(right[bwd])
+        contexts.append(left[bwd])
     if not centers:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    center_arr = np.concatenate(centers)
-    context_arr = np.concatenate(contexts)
-    order = rng.permutation(center_arr.shape[0])
-    return center_arr[order], context_arr[order]
+        return tokens[:0], tokens[:0]
+    order = rng.permutation(sum(c.shape[0] for c in centers))
+    return np.concatenate(centers)[order], np.concatenate(contexts)[order]
 
 
-def _scatter_add(table: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
-    """``np.add.at(table, rows, values)`` for a C-contiguous 2-D table, bitwise equal."""
+def _scatter_add(
+    table: np.ndarray, rows: np.ndarray, values: np.ndarray, index: np.ndarray | None = None
+) -> None:
+    """``np.add.at(table, rows, values)`` for a C-contiguous 2-D table, bitwise equal.
+
+    `index` is an intp buffer of shape (block rows, dim) that holds one block's
+    flat indices at a time; one of `_SCATTER_BLOCK_ROWS` rows is made when
+    none is given.
+    """
     dim = table.shape[1]
+    if index is None:
+        index = np.empty((_SCATTER_BLOCK_ROWS, dim), dtype=np.intp)
     flat = table.reshape(-1)
     columns = np.arange(dim)
-    for start in range(0, rows.shape[0], _SCATTER_BLOCK_ROWS):
-        block = rows[start : start + _SCATTER_BLOCK_ROWS]
-        index = (block[:, None] * dim + columns).reshape(-1)
-        np.add.at(flat, index, values[start : start + _SCATTER_BLOCK_ROWS].reshape(-1))
+    step = index.shape[0]
+    for start in range(0, rows.shape[0], step):
+        block = rows[start : start + step]
+        block_index = np.multiply(block[:, None], dim, out=index[: block.shape[0]], dtype=np.intp)
+        block_index += columns
+        np.add.at(flat, block_index.reshape(-1), values[start : start + step].reshape(-1))
+
+
+class _ChunkStep:
+    """One model's update of a chunk of pairs, in buffers made once per model.
+
+    The operations, their float32 operands and their order are those of the
+    whole-chunk expressions ``h = w_in[c]``, ``out = w_out[targets]``,
+    ``sig = 1 / (1 + exp(-clip(h . out, -10, 10)))``,
+    ``grad = (labels - sig) * valid * lr`` and ``grad_h = grad . out``,
+    followed by row scatters of ``grad_h`` into `w_in` and of
+    ``grad * h`` into `w_out`. The out-table's gradient product is made
+    one scatter block of pairs at a time.
+    """
+
+    def __init__(self, w_in: np.ndarray, w_out: np.ndarray, noise_cdf: np.ndarray, params: SgnsParams):
+        size, width, dim = params.chunk_pairs, params.negatives + 1, params.dim
+        self.w_in = w_in
+        self.w_out = w_out
+        self.noise_cdf = noise_cdf
+        self.draws = np.empty((size, params.negatives))
+        self.targets = np.empty((size, width), dtype=np.intp)
+        self.labels = np.zeros((size, width), dtype=np.float32)
+        self.labels[:, 0] = 1.0
+        # negatives that collide with the true context are no-ops
+        self.valid = np.ones((size, width), dtype=np.float32)
+        self.h = np.empty((size, dim), dtype=np.float32)
+        self.out = np.empty((size, width, dim), dtype=np.float32)
+        self.grad = np.empty((size, width), dtype=np.float32)
+        self.grad_h = np.empty((size, dim), dtype=np.float32)
+        self.block = max(1, _SCATTER_BLOCK_ROWS // width)
+        self.product = np.empty((self.block, width, dim), dtype=np.float32)
+        self.index = np.empty((_SCATTER_BLOCK_ROWS, dim), dtype=np.intp)
+
+    def __call__(self, centers: np.ndarray, contexts: np.ndarray, lr: float, rng: np.random.Generator) -> None:
+        n = centers.shape[0]
+        draws = rng.random(out=self.draws[:n])
+        targets = self.targets[:n]
+        targets[:, 0] = contexts
+        targets[:, 1:] = np.searchsorted(self.noise_cdf, draws)
+        valid = self.valid[:n]
+        np.not_equal(targets[:, 1:], targets[:, :1], out=valid[:, 1:])
+
+        # Every operand is float32, so the gradients already are. The ids are
+        # in range, and mode="clip" lets `take` write into `out` unbuffered.
+        h = np.take(self.w_in, centers, axis=0, out=self.h[:n], mode="clip")
+        out = np.take(self.w_out, targets, axis=0, out=self.out[:n], mode="clip")
+        # `grad` holds the scores, then their sigmoids, then the gradients.
+        grad = np.einsum("nd,nkd->nk", h, out, out=self.grad[:n])
+        np.clip(grad, -10.0, 10.0, out=grad)
+        np.negative(grad, out=grad)
+        np.exp(grad, out=grad)
+        grad += 1.0
+        np.divide(1.0, grad, out=grad)
+        np.subtract(self.labels[:n], grad, out=grad)
+        grad *= valid
+        grad *= np.float32(lr)
+        grad_h = np.einsum("nk,nkd->nd", grad, out, out=self.grad_h[:n])
+        _scatter_add(self.w_in, centers, grad_h, self.index)
+        dim = self.w_out.shape[1]
+        for start in range(0, n, self.block):
+            stop = min(start + self.block, n)
+            product = np.multiply(
+                grad[start:stop, :, None], h[start:stop, None, :], out=self.product[: stop - start]
+            )
+            _scatter_add(self.w_out, targets[start:stop].reshape(-1), product.reshape(-1, dim), self.index)
 
 
 def train_sgns(
@@ -223,8 +329,7 @@ def train_sgns(
     sentences = list(sentences)
     if not sentences:
         raise DataError("token stream is empty")
-    vocab, freqs = _build_vocab(sentences, params.min_count)
-    tokens, sentence_ids = _encode_sentences(sentences, vocab)
+    vocab, freqs, tokens, sentence_ids = _encode(sentences, params.min_count)
     if tokens.size == 0:
         raise DataError("no in-vocabulary tokens to train on")
     rng = np.random.default_rng(params.seed)
@@ -239,50 +344,36 @@ def train_sgns(
     noise_cdf = np.cumsum(noise / noise.sum())
     noise_cdf[-1] = 1.0  # guard the top bucket against cumsum rounding
 
-    epochs_pairs = [
-        _epoch_pairs(tokens, sentence_ids, keep_prob, params.window, rng)
-        for _ in range(params.epochs)
-    ]
-    total_pairs = sum(c.shape[0] for c, _ in epochs_pairs)
+    # Draw every epoch's pairs once, to count them and to leave the generator
+    # where the vector draw below reads it; keep a copy of the generator at
+    # each epoch's start, from which training draws that epoch again.
+    epoch_rngs = []
+    total_pairs = 0
+    for _ in range(params.epochs):
+        epoch_rngs.append(copy.deepcopy(rng))
+        total_pairs += _epoch_pairs(tokens, sentence_ids, keep_prob, params.window, rng)[0].shape[0]
     if total_pairs == 0:
         raise DataError("no training pairs generated; corpus may be too sparse")
 
     vocab_size = len(vocab)
     w_in = ((rng.random((vocab_size, params.dim)) - 0.5) / params.dim).astype(np.float32)
     w_out = np.zeros((vocab_size, params.dim), dtype=np.float32)
+    step = _ChunkStep(w_in, w_out, noise_cdf, params)
 
     done = 0
-    for centers, contexts in epochs_pairs:
+    for epoch_rng in epoch_rngs:
+        centers, contexts = _epoch_pairs(tokens, sentence_ids, keep_prob, params.window, epoch_rng)
         for start in range(0, centers.shape[0], params.chunk_pairs):
-            c = centers[start : start + params.chunk_pairs]
-            o = contexts[start : start + params.chunk_pairs]
             lr = max(
                 params.min_learning_rate,
                 params.learning_rate * (1.0 - done / total_pairs),
             )
-            negatives = np.searchsorted(
-                noise_cdf, rng.random((c.shape[0], params.negatives))
-            ).astype(np.int64)
-            targets = np.concatenate([o[:, None], negatives], axis=1)
-            labels = np.zeros(targets.shape, dtype=np.float32)
-            labels[:, 0] = 1.0
-            # negatives that collide with the true context are no-ops
-            valid = np.ones(targets.shape, dtype=np.float32)
-            valid[:, 1:] = (negatives != o[:, None]).astype(np.float32)
+            stop = min(start + params.chunk_pairs, centers.shape[0])
+            step(centers[start:stop], contexts[start:stop], lr, rng)
+            done += stop - start
+        del centers, contexts  # so that the next epoch's pairs are not built beside these
 
-            # Every operand is float32, so the gradients already are.
-            h = w_in[c]
-            out = w_out[targets]
-            scores = np.einsum("nd,nkd->nk", h, out)
-            sig = 1.0 / (1.0 + np.exp(-np.clip(scores, -10.0, 10.0)))
-            grad = (labels - sig) * valid * np.float32(lr)
-            grad_h = np.einsum("nk,nkd->nd", grad, out)
-            grad_out = grad[:, :, None] * h[:, None, :]
-            _scatter_add(w_in, c, grad_h)
-            _scatter_add(w_out, targets.reshape(-1), grad_out.reshape(-1, params.dim))
-            done += c.shape[0]
-
-    return EmbeddingSpace(year=year, dim=params.dim, vocab=vocab, vectors=w_in)
+    return EmbeddingSpace(year=year, dim=params.dim, vocab=vocab, vectors=w_in, pairs=total_pairs)
 
 
 def _shared_anchors(

@@ -30,7 +30,7 @@ from .corpus import Article, article_sentences, headline_sentence
 from .embeddings import EmbeddingSpace, SgnsParams, train_sgns
 from .errors import NewsbalanceError
 
-__all__ = ["SgnsJob", "SgnsResult", "SgnsWorkers", "train_outlet"]
+__all__ = ["SgnsJob", "SgnsResult", "SgnsWorkers", "SgnsYear", "train_outlet"]
 
 # The package's parent directory goes first on the worker's import path,
 # ahead of its working directory, so the worker imports this very package.
@@ -49,39 +49,63 @@ class SgnsJob:
 
 
 @dataclass(frozen=True)
-class SgnsResult:
-    """One outlet's yearly spaces, the tokens they trained on and the seconds it took."""
+class SgnsYear:
+    """What one year's model trained on: its tokens, its vocabulary size and its
+    (center, context) pairs over all epochs, and the seconds it took."""
 
-    outlet: str
-    spaces: tuple[EmbeddingSpace, ...]
+    year: int
     tokens: int
+    vocab: int
+    pairs: int
     seconds: float
 
 
-def _year_sentences(articles: Sequence[Article]) -> list[list[str]]:
-    """The lowercased tokens of every non-empty headline and content sentence."""
+@dataclass(frozen=True)
+class SgnsResult:
+    """One outlet's yearly spaces and what each year trained on, in year order."""
+
+    outlet: str
+    spaces: tuple[EmbeddingSpace, ...]
+    years: tuple[SgnsYear, ...]
+
+
+def _year_sentences(articles: Sequence[Article], lowered: dict[str, str]) -> list[list[str]]:
+    """The lowercased tokens of every non-empty headline and content sentence.
+
+    `lowered` maps each surface token to its lowercase form, one interned
+    string for every occurrence of the form; one dict serves a job's years.
+    """
     sentences = []
     for article in articles:
         for unit in [headline_sentence(article)] + article_sentences(article):
             if unit.tokens:
-                sentences.append([t.lower() for t in unit.tokens])
+                sentence = []
+                for token in unit.tokens:
+                    low = lowered.get(token)
+                    if low is None:
+                        low = lowered[token] = sys.intern(token.lower())
+                    sentence.append(low)
+                sentences.append(sentence)
     return sentences
 
 
 def train_outlet(job: SgnsJob, parent: int | None) -> SgnsResult:
     """Train each of the job's years in order. A worker passes the pid of the process
     that started it, and exits before a year once that process is not its parent."""
-    start = time.perf_counter()
     spaces = []
-    tokens = 0
+    years = []
+    lowered: dict[str, str] = {}
     for year, seed, articles in job.years:
         if parent is not None and os.getppid() != parent:
             raise SystemExit(f"SGNS worker {os.getpid()}: process {parent} that started it is gone")
-        sentences = _year_sentences(articles)
-        tokens += sum(len(s) for s in sentences)
-        spaces.append(train_sgns(sentences, replace(job.params, seed=seed), year=year))
+        start = time.perf_counter()
+        sentences = _year_sentences(articles, lowered)
+        tokens = sum(len(s) for s in sentences)
+        space = train_sgns(sentences, replace(job.params, seed=seed), year=year)
         del sentences  # so that the next year's sentences are not built beside these
-    return SgnsResult(job.outlet, tuple(spaces), tokens, time.perf_counter() - start)
+        spaces.append(space)
+        years.append(SgnsYear(year, tokens, len(space.vocab), space.pairs, time.perf_counter() - start))
+    return SgnsResult(job.outlet, tuple(spaces), tuple(years))
 
 
 def serve() -> None:

@@ -10,7 +10,10 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from newsbalance.corpus import Article, tokenize
+from newsbalance.embeddings import EmbeddingSpace, SgnsParams
 from newsbalance.errors import ConfigError, ContractViolation, DataError
 from newsbalance.metrics import FeatureRow, MetricId
 from newsbalance.probe import MASK
@@ -162,3 +165,139 @@ def whole_text_places(article: Article, level: str, gazetteer) -> frozenset[str]
     matched."""
     tokens = tokenize(article.headline) + tokenize(article.content)
     return frozenset(gazetteer.matcher(level).match_tokens(tokens))
+
+
+def _reference_vocab(sentences: Sequence[Sequence[str]], min_count: int) -> tuple[dict, np.ndarray]:
+    counts = Counter()
+    for sentence in sentences:
+        counts.update(sentence)
+    kept = sorted(
+        (token for token, count in counts.items() if count >= min_count),
+        key=lambda t: (-counts[t], t),
+    )
+    if not kept:
+        raise DataError(f"vocabulary empty after min_count={min_count} filtering")
+    vocab = {token: i for i, token in enumerate(kept)}
+    freqs = np.array([counts[t] for t in kept], dtype=np.float64)
+    return vocab, freqs
+
+
+def _reference_encode(sentences: Sequence[Sequence[str]], vocab: dict) -> tuple[np.ndarray, np.ndarray]:
+    token_ids: list[int] = []
+    sentence_ids: list[int] = []
+    for sid, sentence in enumerate(sentences):
+        for token in sentence:
+            index = vocab.get(token)
+            if index is not None:
+                token_ids.append(index)
+                sentence_ids.append(sid)
+    return np.array(token_ids, dtype=np.int64), np.array(sentence_ids, dtype=np.int64)
+
+
+def _reference_epoch_pairs(
+    tokens: np.ndarray,
+    sentences: np.ndarray,
+    keep_prob: np.ndarray | None,
+    window: int,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    if keep_prob is not None:
+        mask = rng.random(tokens.shape[0]) < keep_prob[tokens]
+        tokens = tokens[mask]
+        sentences = sentences[mask]
+    count = tokens.shape[0]
+    if count == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    spans = rng.integers(1, window + 1, size=count)
+    centers: list[np.ndarray] = []
+    contexts: list[np.ndarray] = []
+    for offset in range(1, window + 1):
+        if count <= offset:
+            break
+        left = np.arange(count - offset)
+        right = left + offset
+        same = sentences[left] == sentences[right]
+        fwd = same & (spans[left] >= offset)
+        centers.append(tokens[left[fwd]])
+        contexts.append(tokens[right[fwd]])
+        bwd = same & (spans[right] >= offset)
+        centers.append(tokens[right[bwd]])
+        contexts.append(tokens[left[bwd]])
+    if not centers:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    center_arr = np.concatenate(centers)
+    context_arr = np.concatenate(contexts)
+    order = rng.permutation(center_arr.shape[0])
+    return center_arr[order], context_arr[order]
+
+
+def reference_train_sgns(
+    sentences: Sequence[Sequence[str]], params: SgnsParams, year: int = 0
+) -> tuple[EmbeddingSpace, int]:
+    """`embeddings.train_sgns` as it was before it held one epoch's pairs at a time.
+
+    Every epoch's int64 pairs are built up front, and each chunk's gradients
+    are scattered with `np.add.at` into the 2-D tables, row by row. Returns
+    the space and the number of training pairs over all epochs.
+    """
+    sentences = list(sentences)
+    if not sentences:
+        raise DataError("token stream is empty")
+    vocab, freqs = _reference_vocab(sentences, params.min_count)
+    tokens, sentence_ids = _reference_encode(sentences, vocab)
+    if tokens.size == 0:
+        raise DataError("no in-vocabulary tokens to train on")
+    rng = np.random.default_rng(params.seed)
+
+    total = freqs.sum()
+    keep_prob = None
+    if params.subsample > 0:
+        ratio = params.subsample * total / freqs
+        keep_prob = np.minimum(np.sqrt(ratio) + ratio, 1.0)
+
+    noise = freqs**0.75
+    noise_cdf = np.cumsum(noise / noise.sum())
+    noise_cdf[-1] = 1.0
+
+    epochs_pairs = [
+        _reference_epoch_pairs(tokens, sentence_ids, keep_prob, params.window, rng)
+        for _ in range(params.epochs)
+    ]
+    total_pairs = sum(c.shape[0] for c, _ in epochs_pairs)
+    if total_pairs == 0:
+        raise DataError("no training pairs generated; corpus may be too sparse")
+
+    vocab_size = len(vocab)
+    w_in = ((rng.random((vocab_size, params.dim)) - 0.5) / params.dim).astype(np.float32)
+    w_out = np.zeros((vocab_size, params.dim), dtype=np.float32)
+
+    done = 0
+    for centers, contexts in epochs_pairs:
+        for start in range(0, centers.shape[0], params.chunk_pairs):
+            c = centers[start : start + params.chunk_pairs]
+            o = contexts[start : start + params.chunk_pairs]
+            lr = max(
+                params.min_learning_rate,
+                params.learning_rate * (1.0 - done / total_pairs),
+            )
+            negatives = np.searchsorted(
+                noise_cdf, rng.random((c.shape[0], params.negatives))
+            ).astype(np.int64)
+            targets = np.concatenate([o[:, None], negatives], axis=1)
+            labels = np.zeros(targets.shape, dtype=np.float32)
+            labels[:, 0] = 1.0
+            valid = np.ones(targets.shape, dtype=np.float32)
+            valid[:, 1:] = (negatives != o[:, None]).astype(np.float32)
+
+            h = w_in[c]
+            out = w_out[targets]
+            scores = np.einsum("nd,nkd->nk", h, out)
+            sig = 1.0 / (1.0 + np.exp(-np.clip(scores, -10.0, 10.0)))
+            grad = (labels - sig) * valid * np.float32(lr)
+            grad_h = np.einsum("nk,nkd->nd", grad, out)
+            grad_out = grad[:, :, None] * h[:, None, :]
+            np.add.at(w_in, c, grad_h)
+            np.add.at(w_out, targets.reshape(-1), grad_out.reshape(-1, params.dim))
+            done += c.shape[0]
+
+    return EmbeddingSpace(year=year, dim=params.dim, vocab=vocab, vectors=w_in), total_pairs

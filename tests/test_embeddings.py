@@ -1,7 +1,12 @@
 from __future__ import annotations
 
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from newsbalance import embeddings
 from newsbalance.embeddings import (
@@ -25,6 +30,7 @@ from newsbalance.errors import (
     InsufficientAnchorsError,
     VocabularyError,
 )
+from oracles import reference_train_sgns
 
 TOPIC_A = ["apple", "banana", "cherry", "grape"]
 TOPIC_B = ["steel", "iron", "copper", "zinc"]
@@ -129,13 +135,110 @@ class TestScatterAdd:
         )
         self.assert_same_bits(table, rows, values)
 
+
+def zipf_corpus(seed, sentences=300, types=60, longest=12):
+    """Sentences of 0 to `longest` tokens over Zipf-distributed types, so that
+    a min_count drops the tail and some sentences are shorter than the window."""
+    rng = np.random.default_rng(seed)
+    ranks = np.minimum(rng.zipf(1.5, size=sentences * longest), types) - 1
+    lengths = rng.integers(0, longest + 1, size=sentences)
+    words = iter(ranks.tolist())
+    return [[f"w{next(words)}" for _ in range(length)] for length in lengths]
+
+
+def assert_equals_reference(sentences, params):
+    """`train_sgns` gives the oracle's vocabulary, vector bits and pair count,
+    or raises its DataError; returns the space, or None after an error."""
+    try:
+        expected, pairs = reference_train_sgns(sentences, params, year=3)
+    except DataError as exc:
+        with pytest.raises(DataError, match=f"^{re.escape(str(exc))}$"):
+            train_sgns(sentences, params, year=3)
+        return None
+    space = train_sgns(sentences, params, year=3)
+    assert space.vocab == expected.vocab, params
+    np.testing.assert_array_equal(space.vectors.view(np.uint32), expected.vectors.view(np.uint32), err_msg=str(params))
+    assert (space.year, space.dim, space.pairs) == (3, params.dim, pairs), params
+    return space
+
+
+class TestTrainSgnsOracle:
+    """`train_sgns` against the frozen trainer that built every epoch's pairs up
+    front and scattered each chunk's gradients row by row, bit for bit."""
+
     @pytest.mark.parametrize("chunk_pairs", [512, 2048])
-    def test_training_equals_row_scatter(self, monkeypatch, chunk_pairs):
+    def test_training_equals_row_scatter(self, chunk_pairs):
         params = small_params(chunk_pairs=chunk_pairs)
-        flat = train_sgns(topic_corpus(), params)
-        monkeypatch.setattr(embeddings, "_scatter_add", np.add.at)
-        rows = train_sgns(topic_corpus(), params)
-        np.testing.assert_array_equal(flat.vectors.view(np.uint32), rows.vectors.view(np.uint32))
+        assert assert_equals_reference(topic_corpus(), params) is not None
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(window=1, epochs=1, negatives=0),
+            dict(window=2, epochs=4, negatives=1, subsample=1e-3),
+            dict(window=3, epochs=2, negatives=6, min_count=3),
+            dict(window=4, epochs=3, negatives=5, subsample=1e-3, min_count=2),
+            dict(window=5, epochs=1, negatives=2, chunk_pairs=4096),
+            dict(window=6, epochs=2, negatives=4, subsample=1e-3),
+            # below one scatter block (4096 // 6 pairs), and not a multiple of it
+            dict(window=5, epochs=2, negatives=5, chunk_pairs=300),
+            dict(window=5, epochs=2, negatives=5, chunk_pairs=1000),
+            dict(window=2, epochs=2, negatives=0, chunk_pairs=5000),
+        ],
+    )
+    def test_grid_equals_reference(self, overrides):
+        assert assert_equals_reference(zipf_corpus(len(overrides)), small_params(**overrides)) is not None
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sentences=st.integers(1, 80),
+        longest=st.integers(0, 9),
+        window=st.integers(1, 6),
+        epochs=st.integers(1, 4),
+        negatives=st.integers(0, 6),
+        min_count=st.integers(1, 4),
+        subsample=st.sampled_from([0.0, 1e-3]),
+        chunk_pairs=st.sampled_from([1, 7, 64, 700]),
+    )
+    def test_drawn_corpora_equal_reference(self, seed, sentences, longest, window, epochs, negatives, min_count,
+                                           subsample, chunk_pairs):
+        corpus = zipf_corpus(seed, sentences=sentences, types=20, longest=longest)
+        params = small_params(
+            dim=8, window=window, epochs=epochs, negatives=negatives, min_count=min_count,
+            subsample=subsample, chunk_pairs=chunk_pairs, seed=seed,
+        )
+        assert_equals_reference(corpus, params)
+
+    @pytest.mark.parametrize(
+        "sentences, overrides",
+        [
+            ([], {}),
+            ([[], []], {}),
+            ([["once"], ["twice"]], dict(min_count=2)),
+            ([["a", "b"], ["a"], ["c", "a"]], dict(min_count=3)),
+            ([["a"], ["b"], ["a"]], {}),
+            ([[], ["a"]], dict(window=6)),
+        ],
+    )
+    def test_data_errors_equal_reference(self, sentences, overrides):
+        """The first of the four data checks that fails names the error, as in the oracle."""
+        assert assert_equals_reference(sentences, small_params(**overrides)) is None
+
+    def test_memory_does_not_grow_with_epochs(self):
+        """One epoch's pairs are held at a time, so more epochs add no memory."""
+        corpus = zipf_corpus(11, sentences=3000, types=200, longest=20)
+
+        def traced_peak(epochs):
+            tracemalloc.start()
+            try:
+                train_sgns(corpus, small_params(dim=32, window=5, epochs=epochs, chunk_pairs=4096))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one, eight = traced_peak(1), traced_peak(8)
+        assert eight <= 1.1 * one, (one, eight)
 
 
 class TestAlign:

@@ -5,19 +5,24 @@ from __future__ import annotations
 import json
 import logging
 import os
+import re
 import signal
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from newsbalance import cli, training
 from newsbalance.cli import RunContext, _embedding_seed, cmd_weat, main
 from newsbalance.config import RunConfig
-from newsbalance.corpus import article_sentences, headline_sentence, load_corpus, write_corpus
+from newsbalance.corpus import article_sentences, headline_sentence, load_corpus, partition, write_corpus
 from newsbalance.embeddings import SgnsParams, save_binary, train_sgns
+from newsbalance.training import SgnsJob, SgnsYear
+from oracles import reference_train_sgns
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -64,6 +69,55 @@ def _config(archive: Path, tmp_path: Path, **embedding) -> Path:
     return config
 
 
+def _lowered_sentences(articles) -> list[list[str]]:
+    """Each non-empty headline and content sentence's tokens, each lowercased anew."""
+    sentences = []
+    for article in articles:
+        for unit in [headline_sentence(article)] + article_sentences(article):
+            if unit.tokens:
+                sentences.append([t.lower() for t in unit.tokens])
+    return sentences
+
+
+def _outlet_years(archive: Path) -> tuple[str, tuple]:
+    """The first outlet's name and its (year, articles) partitions."""
+    cfg = RunConfig.from_file(archive / "config.json")
+    outlet = sorted(cfg.corpora)[0]
+    articles, _ = load_corpus(archive / cfg.corpora[outlet])
+    return outlet, tuple((year, group) for (_, year), group in partition(articles).items())
+
+
+def test_year_sentences_share_one_string_per_lowercase_type(archive):
+    _, years = _outlet_years(archive)
+    lowered = {}
+    shared = {}
+    surfaces = {}
+    for _, articles in years:
+        sentences = training._year_sentences(articles, lowered)
+        assert sentences == _lowered_sentences(articles)
+        for token in (t for sentence in sentences for t in sentence):
+            assert shared.setdefault(token, token) is token
+    for surface, low in lowered.items():
+        surfaces.setdefault(low, set()).add(surface)
+    # Some forms have several surfaces ("The", "the"), which all share one string.
+    assert any(len(forms) > 1 for forms in surfaces.values())
+
+
+def test_result_records_what_each_year_trained_on(archive):
+    """Tokens, vocabulary size and pairs per year, against the trainer oracle's counts."""
+    outlet, years = _outlet_years(archive)
+    params = SgnsParams(dim=8, window=3, negatives=3, epochs=2, min_count=2, subsample=1e-3)
+    job = SgnsJob(outlet, tuple((year, 40 + year, articles) for year, articles in years), params)
+    result = training.train_outlet(job, None)
+    assert result.outlet == outlet and len(result.years) == len(years) == 2
+    for (year, seed, articles), space, trained in zip(job.years, result.spaces, result.years):
+        sentences = _lowered_sentences(articles)
+        expected, pairs = reference_train_sgns(sentences, replace(params, seed=seed), year=year)
+        assert trained == SgnsYear(year, sum(len(s) for s in sentences), len(expected.vocab), pairs, trained.seconds)
+        assert trained.seconds > 0 and pairs > 0
+        np.testing.assert_array_equal(space.vectors.view(np.uint32), expected.vectors.view(np.uint32))
+
+
 @pytest.mark.parametrize("workers", [0, 1, 2])
 def test_nbe_bytes_equal_inline_training(archive, tmp_path, monkeypatch, workers, deadline):
     """Every `.nbe` file equals train_sgns called here on its partition's sentences."""
@@ -82,12 +136,7 @@ def test_nbe_bytes_equal_inline_training(archive, tmp_path, monkeypatch, workers
         # A partition's order, which makes the models independent of record order.
         articles.sort(key=lambda a: (a.published, a.id, a.headline, a.content))
         for year in (2010, 2011):
-            sentences = []
-            for article in articles:
-                if article.published.year == year:
-                    for unit in [headline_sentence(article)] + article_sentences(article):
-                        if unit.tokens:
-                            sentences.append([t.lower() for t in unit.tokens])
+            sentences = _lowered_sentences(a for a in articles if a.published.year == year)
             params = SgnsParams(
                 dim=e.dim, window=e.window, negatives=e.negatives, epochs=e.epochs,
                 min_count=e.min_count, subsample=e.subsample, seed=_embedding_seed(cfg.seed, index, year),
@@ -166,6 +215,10 @@ def test_no_child_left_after_report(archive, tmp_path, monkeypatch, caplog, dead
     assert [m.split(":")[0] for m in jobs] == ["SGNS daily-alpha", "SGNS daily-beta", "SGNS daily-gamma"]
     assert jobs[0].endswith("in this process")
     assert all(m.endswith("in worker 1") and "years 2010,2011," in m for m in jobs[1:])
+    # ... and for each (outlet, year), its tokens, vocabulary size, pairs and seconds.
+    years = [r.getMessage() for r in caplog.records if re.fullmatch(
+        r"daily-\w+ 201[01]: \d+ tokens, vocabulary \d+, \d+ pairs, \d+\.\d\d s", r.getMessage())]
+    assert [m.split(":")[0] for m in years] == [f"daily-{o} {y}" for o in ("alpha", "beta", "gamma") for y in (2010, 2011)]
 
 
 def test_no_child_left_after_a_data_error_in_this_process(archive, tmp_path, monkeypatch, deadline):
