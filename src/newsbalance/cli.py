@@ -9,13 +9,13 @@ subset of commands can run independently. The commands of one run share a
 computes the metric series once for `metrics` and `cluster`, and trains the
 yearly SGNS models for `weat`, each made on first use, so a command run alone
 builds only what it reads. `metrics`, `geo` and `probe` fold the partitions'
-units into monthly documents, place counts or slot distributions; party tags
-and place sets are computed where they are read. `report` runs
-everything on one context and bundles the results into one deterministic JSON
-file. It starts the SGNS training first: worker processes train every outlet
-but the first, and this process trains the first before it splits the
-articles into units, then runs `metrics`, `cluster`, `geo` and `probe` while
-the workers train, and `weat` last.
+units into monthly documents, place counts or slot distributions, and SGNS
+trains from them; party tags and place sets are computed where they are read.
+`report` runs everything on one context and bundles the results into one
+deterministic JSON file. It starts the SGNS training first: worker processes
+split and train every outlet but the first, and this process trains the first
+from its units, then runs `metrics`, `cluster`, `geo` and `probe` while the
+workers train, and `weat` last.
 
 Exit codes: 0 ok, 1 config error, 2 data error, 3 internal error.
 """
@@ -122,18 +122,19 @@ class RunContext:
     """What one run loads and derives from its config, each made on first use.
 
     The corpora are read once and grouped into (outlet, year) partitions, and
-    each partition's articles are split once into the units that `metrics`,
-    `geo` and `probe` read. The metric series are computed once, for
-    `metrics` and `cluster`; `report` drops them once `cluster` is done.
-    The yearly SGNS models train in worker processes, all but the first
-    outlet's, and in this process, which trains the first outlet's when
-    `start_sgns` is called; `sgns_spaces` waits for the workers. Use the
-    context in a `with` block, so that no worker outlives it. Everything here
-    goes when the run does.
+    each partition's articles are split once, on first use, into the units
+    that `metrics`, `geo`, `probe` and this process's SGNS training read. The
+    metric series are computed once, for `metrics` and `cluster`; `report`
+    drops them once `cluster` is done. The yearly SGNS models train in worker
+    processes, all but the first outlet's, and in this process, which trains
+    the first outlet's when `start_sgns` is called; `sgns_spaces` waits for
+    the workers. Use the context in a `with` block, so that no worker
+    outlives it. Everything here goes when the run does.
     """
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
+        self._units: dict[tuple[str, int], tuple[ArticleUnits, ...]] = {}
         self._workers: SgnsWorkers | None = None
         # The first outlet's results, once `start_sgns` has trained them here.
         self._sgns_here: list[SgnsResult] | None = None
@@ -185,14 +186,19 @@ class RunContext:
         order and in `corpus.partition`'s canonical article order."""
         return partition(self._corpora[0])
 
-    @cached_property
+    def partition_units(self, key: tuple[str, int]) -> tuple[ArticleUnits, ...]:
+        """One partition's article units (`corpus.article_units`), split on first use."""
+        if key not in self._units:
+            self._units[key] = article_units(self.partitions[key])
+        return self._units[key]
+
+    @property
     def units(self) -> dict[tuple[str, int], tuple[ArticleUnits, ...]]:
-        """Each partition's article units (`corpus.article_units`), in the
-        order of `partitions`."""
-        return {key: article_units(articles) for key, articles in self.partitions.items()}
+        """Each partition's article units, in the order of `partitions`."""
+        return {key: self.partition_units(key) for key in self.partitions}
 
     def start_sgns(self) -> None:
-        """Start the workers, then train the first outlet's years here.
+        """Start the workers, then train the first outlet's years here from its units.
 
         An outlet with a single year fails the run before any model trains.
         """
@@ -226,7 +232,7 @@ class RunContext:
         if workers > 0:
             self._workers = SgnsWorkers([jobs[1 + i :: workers] for i in range(workers)])
             jobs = jobs[:1]
-        self._sgns_here = [train_outlet(job, None) for job in jobs]
+        self._sgns_here = [train_outlet(job, lambda year, _: self.partition_units((job.outlet, year))) for job in jobs]
 
     @cached_property
     def sgns_spaces(self) -> dict[str, tuple[EmbeddingSpace, ...]]:
@@ -255,8 +261,9 @@ class RunContext:
                 spaces[result.outlet] = result.spaces
         return {outlet: spaces[outlet] for outlet in sorted(spaces)}
 
-    def articles(self, command_dir: Path) -> list[Article]:
-        """The articles in the date range; the skip reports go under command_dir."""
+    def write_skips(self, command_dir: Path) -> None:
+        """Write the skip reports under command_dir; raises `DataError` when no
+        article is in the date range."""
         articles, skips = self._corpora
         for outlet, skipped in skips.items():
             skip_dir = command_dir / "skips"
@@ -264,7 +271,6 @@ class RunContext:
             write_skip_report(skipped, skip_dir / f"{outlet}.jsonl")
         if not articles:
             raise DataError("no articles in the configured date range")
-        return articles
 
 
 def _provenance(cfg: RunConfig, command: str) -> dict:
@@ -307,7 +313,7 @@ def cmd_validate(cfg: RunConfig) -> dict:
 def cmd_metrics(ctx: RunContext, out_base: Path) -> dict:
     cfg = ctx.cfg
     directory = _command_dir(out_base, "metrics")
-    ctx.articles(directory)
+    ctx.write_skips(directory)
 
     payload: dict = {}
     for metric_name, by_outlet in sorted(ctx.series.items()):
@@ -337,7 +343,7 @@ def cmd_cluster(ctx: RunContext, out_base: Path) -> dict:
     overall, per-metric and per-outlet dendrograms cut from it."""
     clustering = ctx.cfg.clustering
     directory = _command_dir(out_base, "cluster")
-    ctx.articles(directory)
+    ctx.write_skips(directory)
 
     cleaned: dict[tuple[str, str], list[float]] = {}
     skipped: list[str] = []
@@ -400,14 +406,13 @@ def _party_token_sets(lexicons) -> tuple[tuple[str, ...], tuple[str, ...]]:
 def cmd_weat(ctx: RunContext, out_base: Path) -> dict:
     """Yearly embeddings and WEAT scores.
 
-    The embeddings are `RunContext.sgns_spaces`, each trained from its own
-    pass over its partition's articles rather than from the shared units;
-    run alone, this command starts the training itself.
+    The embeddings are `RunContext.sgns_spaces`, each trained from its
+    partition's units; run alone, this command starts the training itself.
     """
     cfg = ctx.cfg
     directory = _command_dir(out_base, "weat")
     lexicons = ctx.lexicons
-    ctx.articles(directory)
+    ctx.write_skips(directory)
     s1, s2 = _party_token_sets(lexicons)
     sets = AssociationSets(s1=s1, s2=s2, a1=cfg.weat.attributes_positive, a2=cfg.weat.attributes_negative)
 
@@ -447,7 +452,7 @@ def cmd_geo(ctx: RunContext, out_base: Path) -> dict:
     cfg = ctx.cfg
     directory = _command_dir(out_base, "geo")
     gazetteer = ctx.gazetteer
-    ctx.articles(directory)
+    ctx.write_skips(directory)
 
     payload: dict = {"totals": {}, "trends": {}}
     yearly: dict[str, dict] = {}  # level -> {(outlet, year): place counts}
@@ -488,7 +493,7 @@ def cmd_geo(ctx: RunContext, out_base: Path) -> dict:
 def cmd_probe(ctx: RunContext, out_base: Path) -> dict:
     cfg = ctx.cfg
     directory = _command_dir(out_base, "probe")
-    ctx.articles(directory)
+    ctx.write_skips(directory)
     party_b, party_c = cfg.probe.party_tokens
 
     payload: dict = {}
@@ -529,8 +534,8 @@ def cmd_report(ctx: RunContext, out_base: Path) -> dict:
     directory = _command_dir(out_base, "report")
     provenance = _provenance(ctx.cfg, "report")
     # SGNS training is the run's memory peak, so this process trains its share
-    # before the units that the other commands share exist; the workers train
-    # the rest while those commands run, and weat collects them last.
+    # before the other outlets' units exist; the workers train the rest while
+    # the other commands run, and weat collects them last.
     ctx.start_sgns()
     metrics = cmd_metrics(ctx, out_base)
     clusters = cmd_cluster(ctx, out_base)

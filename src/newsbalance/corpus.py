@@ -1,9 +1,10 @@
 """Article ingestion, text normalization, sentence splitting and tokenization.
 
-Everything downstream (keyword tagging, metric scoring, embeddings) consumes
-the units produced here, so the rules are deliberately simple, deterministic
-and order-insensitive: articles can be processed in any order and in parallel
-without changing any aggregate.
+Everything downstream consumes the units made here by `article_units`, the
+one place that splits articles: a unit is a headline or a content sentence as
+the tuple of its interned word tokens. The rules are deliberately simple,
+deterministic and order-insensitive: articles can be processed in any order
+and in parallel without changing any aggregate.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from ._data import data_text
 
 __all__ = [
     "Article",
-    "Sentence",
+    "Unit",
     "MonthKey",
     "SkipRecord",
     "load_corpus",
@@ -104,24 +105,6 @@ class Article:
             "headline": self.headline,
             "content": self.content,
         }
-
-
-@dataclass(frozen=True, slots=True)
-class Sentence:
-    """A sentence (or headline treated as one) with its word tokens.
-
-    Units made by `article_sentences` and `headline_sentence` hold interned
-    tokens, so a run that keeps every article's units stores each distinct
-    word once.
-    """
-
-    article_id: str
-    index: int
-    tokens: tuple[str, ...]
-
-    @property
-    def word_count(self) -> int:
-        return len(self.tokens)
 
 
 @dataclass(frozen=True)
@@ -275,28 +258,27 @@ def write_skip_report(skips: Iterable[SkipRecord], path: str | Path) -> None:
             handle.write(json.dumps({"line": skip.line, "reason": skip.reason}) + "\n")
 
 
-def _interned_tokens(text: str) -> tuple[str, ...]:
+Unit = tuple[str, ...]  # a headline or sentence's word tokens, each interned
+ArticleUnits = tuple[Unit, tuple[Unit, ...]]  # (headline unit, content sentences)
+
+
+def _interned_tokens(text: str) -> Unit:
     return tuple(map(sys.intern, tokenize(text)))
 
 
-def article_sentences(article: Article) -> list[Sentence]:
-    """Split an article's content into indexed, tokenized sentences."""
-    return [
-        Sentence(article_id=article.id, index=i, tokens=_interned_tokens(span))
-        for i, span in enumerate(split_sentences(article.content))
-    ]
+def article_sentences(article: Article) -> list[Unit]:
+    """Split an article's content into tokenized sentences, in text order."""
+    return [_interned_tokens(span) for span in split_sentences(article.content)]
 
 
-def headline_sentence(article: Article) -> Sentence:
+def headline_sentence(article: Article) -> Unit:
     """Treat the whole headline as a single sentence unit."""
-    return Sentence(article_id=article.id, index=0, tokens=_interned_tokens(article.headline))
-
-
-ArticleUnits = tuple[Sentence, tuple[Sentence, ...]]  # (headline unit, content sentences)
+    return _interned_tokens(article.headline)
 
 
 def article_units(articles: Iterable[Article]) -> tuple[ArticleUnits, ...]:
-    """Each article's units, in article order."""
+    """Each article's units, in article order. Equal tokens are one string
+    object, so a run that keeps every article's units stores each word once."""
     return tuple((headline_sentence(a), tuple(article_sentences(a))) for a in articles)
 
 

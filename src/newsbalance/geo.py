@@ -122,7 +122,7 @@ def count_mentions(
     counts = {place: 0 for place in places}
     for headline, content in units:
         # The content units' tokens, joined, are the content's tokens.
-        tokens = [token for unit in (headline, *content) for token in unit.tokens]
+        tokens = [token for unit in (headline, *content) for token in unit]
         for place in matcher.match_tokens(tokens):
             counts[place] += 1
     return counts

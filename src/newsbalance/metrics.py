@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import Article, ArticleUnits, MonthKey, Sentence, month_key
+from .corpus import Article, ArticleUnits, MonthKey, Unit, month_key
 from .errors import ConfigError, ContractViolation
 from .nlp import (
     DEGREE_NONE,
@@ -43,6 +43,7 @@ from .tagging import (
     build_monthly_documents,
     get_document,
 )
+from .timeseries import drop_missing
 
 __all__ = [
     "MetricId",
@@ -105,9 +106,7 @@ class ImbalanceSeries:
     points: list[ImbalancePoint] = field(default_factory=list)
     pooled: float | None = None
 
-    def values(self, drop_missing: bool = False) -> list[float | None]:
-        if drop_missing:
-            return [p.value for p in self.points if p.value is not None]
+    def values(self) -> list[float | None]:
         return [p.value for p in self.points]
 
 
@@ -132,15 +131,15 @@ class AnalyzerSuite:
     lexicons: Sequence[PartyLexicon]
     matcher: PhraseMatcher
 
-    def features(self, unit: Sentence) -> FeatureRow:
+    def features(self, unit: Unit) -> FeatureRow:
         """The unit's feature row: both sentiment components come from one pass."""
-        sentiment = sentence_sentiment(unit.tokens, self.valence)
+        sentiment = sentence_sentiment(unit, self.valence)
         return FeatureRow(
             positive=sentiment.positive,
             negative=sentiment.negative,
-            subjectivity=sentence_subjectivity(unit.tokens, self.subjectivity),
-            degree_hits=sum(1 for flag in tag_degree(unit.tokens) if flag != DEGREE_NONE),
-            speakers=tuple(sorted(detect_reported_speech(unit.tokens, self.matcher))),
+            subjectivity=sentence_subjectivity(unit, self.subjectivity),
+            degree_hits=sum(1 for flag in tag_degree(unit) if flag != DEGREE_NONE),
+            speakers=tuple(sorted(detect_reported_speech(unit, self.matcher))),
         )
 
     @classmethod
@@ -282,7 +281,7 @@ def aggregate_pooled(pooled_b: MonthlyDocument, pooled_c: MonthlyDocument, metri
 
 def aggregate_mean_abs(series: ImbalanceSeries) -> float | None:
     """Mean absolute directed score over the non-missing months."""
-    values = series.values(drop_missing=True)
+    values = drop_missing(series.values())
     if not values:
         return None
     return sum(abs(v) for v in values) / len(values)

@@ -151,5 +151,5 @@ def ngram_backend(
 ) -> NgramMaskBackend:
     """Build the backend from a corpus slice: each article's headline unit and
     content sentences, as `corpus.article_units` gives them."""
-    sentences = (unit.tokens for headline, content in units for unit in (headline, *content))
+    sentences = (unit for headline, content in units for unit in (headline, *content))
     return NgramMaskBackend(sentences, order=order, smoothing=smoothing)

@@ -271,7 +271,7 @@ def build_monthly_documents(
     for article, (headline, content) in zip(articles, units, strict=True):
         month = month_key(article.published)
         for unit in (headline,) if mode == HEADLINE else content:
-            parties = match(unit.tokens)
+            parties = match(unit)
             if not parties:
                 continue
             row = suite.features(unit) if rows and mode == CONTENT else None
@@ -280,7 +280,7 @@ def build_monthly_documents(
                 doc = docs.get(key)
                 if doc is None:
                     doc = docs[key] = MonthlyDocument(month=month, party_id=party_id, mode=mode)
-                doc.add(unit.word_count, row)
+                doc.add(len(unit), row)
     return docs
 
 

@@ -170,9 +170,7 @@ def cluster(
         raise ContractViolation("clustering requires at least 2 labels")
     if len(matrix) != len(labels) or any(len(row) != len(labels) for row in matrix):
         raise ContractViolation("distance matrix must be square, one row per label")
-    nodes: list[DendrogramNode] = [DendrogramNode(height=0.0, label=lab) for lab in labels]
     members: list[tuple[str, ...]] = [(lab,) for lab in labels]
-    sizes: list[int] = [1] * len(labels)
     dist: dict[tuple[int, int], float] = {}
     for i in range(len(labels)):
         for j in range(i + 1, len(labels)):
@@ -184,7 +182,7 @@ def cluster(
         a, b = sorted((members[i], members[j]))
         return (dist[(min(i, j), max(i, j))], a, b)
 
-    merge_tree: dict[int, DendrogramNode] = {i: nodes[i] for i in active}
+    merge_tree = {i: DendrogramNode(height=0.0, label=lab) for i, lab in enumerate(labels)}
     while len(active) > 1:
         best: tuple | None = None
         best_pair = (-1, -1)
@@ -204,14 +202,14 @@ def cluster(
         merged_members = tuple(sorted(members[i] + members[j]))
         merge_tree[next_id] = merged
         members.append(merged_members)
-        sizes.append(sizes[i] + sizes[j])
         for k in active:
             if k in (i, j):
                 continue
             d_ik = dist[(min(i, k), max(i, k))]
             d_jk = dist[(min(j, k), max(j, k))]
             if linkage == "average":
-                d_new = (sizes[i] * d_ik + sizes[j] * d_jk) / (sizes[i] + sizes[j])
+                size_i, size_j = len(members[i]), len(members[j])
+                d_new = (size_i * d_ik + size_j * d_jk) / (size_i + size_j)
             elif linkage == "single":
                 d_new = min(d_ik, d_jk)
             else:

@@ -1,9 +1,12 @@
 """One outlet's yearly SGNS models as a job, trained here or in a worker process.
 
 A job carries one outlet's articles grouped by year, each year's seed and the
-training parameters. `train_outlet` splits, tokenizes and lowercases a year's
-articles and trains its model with `embeddings.train_sgns`, so a model is
-bitwise the same whichever process runs its job.
+training parameters. `train_outlet` lowercases the tokens of a year's units
+(`corpus.article_units`) and trains its model with `embeddings.train_sgns`, so
+a model is bitwise the same whichever process runs its job. The process that
+starts the workers trains from the units it keeps for its other commands; a
+worker splits its own articles, one year at a time, just before the year
+trains.
 
 `SgnsWorkers` runs shares of the jobs in worker processes. A worker is a fresh
 interpreter that reads its share as a pickle on stdin and writes its results
@@ -24,9 +27,9 @@ import tempfile
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .corpus import Article, article_sentences, headline_sentence
+from .corpus import Article, ArticleUnits, article_units
 from .embeddings import EmbeddingSpace, SgnsParams, train_sgns
 from .errors import NewsbalanceError
 
@@ -69,18 +72,18 @@ class SgnsResult:
     years: tuple[SgnsYear, ...]
 
 
-def _year_sentences(articles: Sequence[Article], lowered: dict[str, str]) -> list[list[str]]:
-    """The lowercased tokens of every non-empty headline and content sentence.
+def _year_sentences(units: Sequence[ArticleUnits], lowered: dict[str, str]) -> list[list[str]]:
+    """The lowercased tokens of every non-empty headline and content unit.
 
     `lowered` maps each surface token to its lowercase form, one interned
     string for every occurrence of the form; one dict serves a job's years.
     """
     sentences = []
-    for article in articles:
-        for unit in [headline_sentence(article)] + article_sentences(article):
-            if unit.tokens:
+    for headline, content in units:
+        for unit in (headline, *content):
+            if unit:
                 sentence = []
-                for token in unit.tokens:
+                for token in unit:
                     low = lowered.get(token)
                     if low is None:
                         low = lowered[token] = sys.intern(token.lower())
@@ -89,17 +92,15 @@ def _year_sentences(articles: Sequence[Article], lowered: dict[str, str]) -> lis
     return sentences
 
 
-def train_outlet(job: SgnsJob, parent: int | None) -> SgnsResult:
-    """Train each of the job's years in order. A worker passes the pid of the process
-    that started it, and exits before a year once that process is not its parent."""
+def train_outlet(job: SgnsJob, units: Callable[[int, tuple[Article, ...]], Sequence[ArticleUnits]]) -> SgnsResult:
+    """Train each of the job's years in order, from the units that
+    `units(year, articles)` gives for it just before the year trains."""
     spaces = []
     years = []
     lowered: dict[str, str] = {}
     for year, seed, articles in job.years:
-        if parent is not None and os.getppid() != parent:
-            raise SystemExit(f"SGNS worker {os.getpid()}: process {parent} that started it is gone")
         start = time.perf_counter()
-        sentences = _year_sentences(articles, lowered)
+        sentences = _year_sentences(units(year, articles), lowered)
         tokens = sum(len(s) for s in sentences)
         space = train_sgns(sentences, replace(job.params, seed=seed), year=year)
         del sentences  # so that the next year's sentences are not built beside these
@@ -109,11 +110,18 @@ def train_outlet(job: SgnsJob, parent: int | None) -> SgnsResult:
 
 
 def serve() -> None:
-    """Worker entry point: train the pickled jobs on stdin, pickle the results to stdout."""
+    """Worker entry point: train the pickled jobs on stdin, pickle the results to stdout.
+    Before each year the worker exits once the process that started it is gone."""
     parent = int(sys.argv[2])
+
+    def split(year: int, articles: tuple[Article, ...]) -> tuple[ArticleUnits, ...]:
+        if os.getppid() != parent:
+            raise SystemExit(f"SGNS worker {os.getpid()}: process {parent} that started it is gone")
+        return article_units(articles)
+
     jobs = pickle.load(sys.stdin.buffer)
     try:
-        results: list[SgnsResult] | NewsbalanceError = [train_outlet(job, parent) for job in jobs]
+        results: list[SgnsResult] | NewsbalanceError = [train_outlet(job, split) for job in jobs]
     except NewsbalanceError as exc:
         results = exc
     pickle.dump(results, sys.stdout.buffer, protocol=pickle.HIGHEST_PROTOCOL)

@@ -464,7 +464,7 @@ def test_report_splits_and_scores_each_article_once(two_year_dir, tmp_path, monk
     partitions = {(a.outlet, a.published.year) for a in articles}
     matcher = build_matcher(default_party_lexicons())
     scored_units = sum(
-        1 for article in articles for unit in article_sentences(article) if matcher.match_tokens(unit.tokens)
+        1 for article in articles for unit in article_sentences(article) if matcher.match_tokens(unit)
     )
 
     counts: Counter = Counter()
@@ -474,18 +474,23 @@ def test_report_splits_and_scores_each_article_once(two_year_dir, tmp_path, monk
     _count_calls(monkeypatch, metrics, "compute_all_series", counts)
     _count_calls(monkeypatch, tagging, "build_monthly_documents", counts)
     _count_calls(monkeypatch, timeseries, "dtw_distance", counts)
-    assert main(["report", "--config", str(two_year_dir / "config.json"), "--out", str(tmp_path)]) == 0
+    # With 2 CPUs a worker trains two of the three outlets; with 1, this process trains all three.
+    for cpus in (2, 1):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)), raising=False)
+        counts.clear()
+        out = tmp_path / f"cpus{cpus}"
+        assert main(["report", "--config", str(two_year_dir / "config.json"), "--out", str(out)]) == 0
 
-    assert counts["load_corpus"] == len(raw["corpora"])
-    # weat's own pass plus the units the other commands share
-    assert counts["split_sentences"] <= 2 * len(articles)
-    assert 0 < counts["sentence_sentiment"] <= scored_units
-    # the series once, from one document build per (outlet, year) partition and mode
-    assert counts["compute_all_series"] == 1
-    assert counts["build_monthly_documents"] == 2 * len(partitions)
-    # one DTW distance per pair of clustered series
-    labels = json.loads((tmp_path / "cluster" / "cluster.json").read_text())["labels"]
-    assert counts["dtw_distance"] == len(labels) * (len(labels) - 1) // 2
+        assert counts["load_corpus"] == len(raw["corpora"]), cpus
+        # SGNS here trains from the units the other commands share
+        assert counts["split_sentences"] == len(articles), cpus
+        assert 0 < counts["sentence_sentiment"] <= scored_units
+        # the series once, from one document build per (outlet, year) partition and mode
+        assert counts["compute_all_series"] == 1
+        assert counts["build_monthly_documents"] == 2 * len(partitions)
+        # one DTW distance per pair of clustered series
+        labels = json.loads((out / "cluster" / "cluster.json").read_text())["labels"]
+        assert counts["dtw_distance"] == len(labels) * (len(labels) - 1) // 2
 
 
 def test_coverage_metrics_alone_featurize_no_unit(two_year_dir, tmp_path, monkeypatch):

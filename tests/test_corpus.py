@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from newsbalance.corpus import (
     MonthKey,
     article_sentences,
+    article_units,
     load_corpus,
     month_key,
     split_sentences,
@@ -178,10 +179,19 @@ class TestMonthKey:
 
 def test_article_sentences_dense_index():
     article = make_article(content="First point. Second point. Third.")
-    sentences = article_sentences(article)
-    assert [s.index for s in sentences] == [0, 1, 2]
-    assert all(s.word_count == len(s.tokens) for s in sentences)
-    assert all(s.article_id == article.id for s in sentences)
+    assert article_sentences(article) == [("First", "point"), ("Second", "point"), ("Third",)]
+
+
+def test_equal_tokens_in_units_are_one_string():
+    """Unit tokens are interned, so equal words in different articles' units are one object."""
+    (head_a, content_a), (head_b, content_b) = article_units([
+        make_article(id="a", headline="Congress rally", content="The Congress met. Voters came."),
+        make_article(id="b", headline="Voters speak", content="Congress-led alliance. The Congress won."),
+    ])
+    assert content_b == (("Congress-led", "alliance"), ("The", "Congress", "won"))
+    assert head_a[0] is content_a[0][1] is content_b[1][1]
+    assert content_a[1][0] is head_b[0]
+    assert content_a[0][0] is content_b[1][0]
 
 
 def test_duplicate_ids_skipped(tmp_path):

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from newsbalance.corpus import MonthKey, Sentence, article_units
+from newsbalance.corpus import MonthKey, article_units
 from newsbalance.errors import ConfigError, ContractViolation
 from newsbalance.metrics import (
     AnalyzerSuite,
@@ -72,14 +72,14 @@ def series_for(articles, metric, suite):
 
 
 def content_units(texts):
-    return [Sentence(article_id=f"a{i}", index=0, tokens=tuple(t.split())) for i, t in enumerate(texts)]
+    return [tuple(t.split()) for t in texts]
 
 
 def content_doc(texts, suite, party_id="bjp"):
     """A content document of one unit per text, each with its feature row."""
     doc = MonthlyDocument(month=MONTH, party_id=party_id, mode=CONTENT)
     for unit in content_units(texts):
-        doc.add(unit.word_count, suite.features(unit))
+        doc.add(len(unit), suite.features(unit))
     return doc
 
 
@@ -167,9 +167,9 @@ class TestScoreDocument:
         expected_num = 0.0
         expected_den = 0
         for unit in content_units(texts):
-            s = sentence_sentiment(unit.tokens, suite.valence).positive
-            expected_num += unit.word_count * s
-            expected_den += unit.word_count
+            s = sentence_sentiment(unit, suite.valence).positive
+            expected_num += len(unit) * s
+            expected_den += len(unit)
         value = score_document(doc, MetricId.POS_SENT)
         assert value == pytest.approx(expected_num / expected_den, abs=1e-12)
 

@@ -144,10 +144,10 @@ class TestBuildMonthlyDocuments:
         for article in sample:
             for unit in article_sentences(article):
                 for lex in lexicons:
-                    if match_parties(list(unit.tokens), [lex]):
+                    if match_parties(list(unit), [lex]):
                         key = (month_key(article.published), lex.party_id)
                         units, words = expected.get(key, (0, 0))
-                        expected[key] = (units + 1, words + unit.word_count)
+                        expected[key] = (units + 1, words + len(unit))
         assert {key: (doc.units, doc.words) for key, doc in docs.items()} == expected
 
     def test_order_insensitive(self, lexicons, suite, bundled_articles):
@@ -223,8 +223,8 @@ class TestPhraseMatcherOracle:
     def test_synth_units(self, matchers, bundled_articles):
         units = []
         for article in bundled_articles[::10]:
-            units.append(headline_sentence(article).tokens)
-            units.extend(s.tokens for s in article_sentences(article))
+            units.append(headline_sentence(article))
+            units.extend(article_sentences(article))
             units.append(tokenize(article.headline) + tokenize(article.content))
         for matcher, oracle in matchers:
             # Twice, so the second pass reads cached forms only.

@@ -19,7 +19,7 @@ import pytest
 from newsbalance import cli, training
 from newsbalance.cli import RunContext, _embedding_seed, cmd_weat, main
 from newsbalance.config import RunConfig
-from newsbalance.corpus import article_sentences, headline_sentence, load_corpus, partition, write_corpus
+from newsbalance.corpus import article_units, load_corpus, partition, write_corpus
 from newsbalance.embeddings import SgnsParams, save_binary, train_sgns
 from newsbalance.training import SgnsJob, SgnsYear
 from oracles import reference_train_sgns
@@ -70,13 +70,13 @@ def _config(archive: Path, tmp_path: Path, **embedding) -> Path:
 
 
 def _lowered_sentences(articles) -> list[list[str]]:
-    """Each non-empty headline and content sentence's tokens, each lowercased anew."""
-    sentences = []
-    for article in articles:
-        for unit in [headline_sentence(article)] + article_sentences(article):
-            if unit.tokens:
-                sentences.append([t.lower() for t in unit.tokens])
-    return sentences
+    """Each non-empty headline and content unit's tokens, each lowercased anew."""
+    return [
+        [t.lower() for t in unit]
+        for headline, content in article_units(articles)
+        for unit in (headline, *content)
+        if unit
+    ]
 
 
 def _outlet_years(archive: Path) -> tuple[str, tuple]:
@@ -93,7 +93,7 @@ def test_year_sentences_share_one_string_per_lowercase_type(archive):
     shared = {}
     surfaces = {}
     for _, articles in years:
-        sentences = training._year_sentences(articles, lowered)
+        sentences = training._year_sentences(article_units(articles), lowered)
         assert sentences == _lowered_sentences(articles)
         for token in (t for sentence in sentences for t in sentence):
             assert shared.setdefault(token, token) is token
@@ -108,7 +108,7 @@ def test_result_records_what_each_year_trained_on(archive):
     outlet, years = _outlet_years(archive)
     params = SgnsParams(dim=8, window=3, negatives=3, epochs=2, min_count=2, subsample=1e-3)
     job = SgnsJob(outlet, tuple((year, 40 + year, articles) for year, articles in years), params)
-    result = training.train_outlet(job, None)
+    result = training.train_outlet(job, lambda year, articles: article_units(articles))
     assert result.outlet == outlet and len(result.years) == len(years) == 2
     for (year, seed, articles), space, trained in zip(job.years, result.spaces, result.years):
         sentences = _lowered_sentences(articles)
