@@ -9,7 +9,8 @@ rather than balanced.
 A document holds exact integer sums over its units, so its scores do not
 depend on the order or grouping of the units. The series fold over (outlet,
 year) partitions, and the pooled document is the field-wise sum of the month
-documents.
+documents. A content unit's feature row comes from `AnalyzerSuite.features`,
+one pass over the per-type facts of its tokens (`nlp.FactTable`).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Iterable, Mapping, Sequence
 from .corpus import Article, ArticleUnits, MonthKey, Unit, month_key
 from .errors import ConfigError, ContractViolation
 from .nlp import (
-    DEGREE_NONE,
+    FactTable,
     ValenceLexicon,
     default_subjectivity_lexicon,
     default_valence_lexicon,
@@ -124,22 +125,41 @@ class FeatureRow:
 @dataclass
 class AnalyzerSuite:
     """Lexicons and the run's one party matcher, which tags units and finds
-    the parties whose speech a unit reports."""
+    the parties whose speech a unit reports. `facts` holds each token type's
+    facts under the two lexicons."""
 
     valence: ValenceLexicon
     subjectivity: dict
     lexicons: Sequence[PartyLexicon]
     matcher: PhraseMatcher
+    facts: FactTable = field(init=False, repr=False, compare=False)
 
-    def features(self, unit: Unit) -> FeatureRow:
-        """The unit's feature row: both sentiment components come from one pass."""
-        sentiment = sentence_sentiment(unit, self.valence)
+    def __post_init__(self) -> None:
+        self.facts = FactTable(self.valence, self.subjectivity)
+
+    def features(self, unit: Unit, spans: Sequence[tuple[int, int, str]] | None = None) -> FeatureRow:
+        """The unit's feature row, from one pass over its tokens' facts.
+
+        The pass reads the facts as columns, and each analyzer of `nlp` reads
+        its own. Speakers are looked for only in a unit with a narrative-verb
+        type; `spans` are the unit's `matcher.match_spans`, matched here when
+        the caller has none.
+        """
+        if not unit:
+            return FeatureRow(0.0, 0.0, 0.0, 0, ())
+        lowered, valences, caps, boosters, negators, subjectivities, degrees, narratives = zip(*self.facts(unit))
+        positive, negative = sentence_sentiment(valences, caps, boosters, negators)
+        speakers: tuple[str, ...] = ()
+        if any(narratives):
+            if spans is None:
+                spans = self.matcher.match_spans(unit)
+            speakers = tuple(sorted(detect_reported_speech(lowered, spans)))
         return FeatureRow(
-            positive=sentiment.positive,
-            negative=sentiment.negative,
-            subjectivity=sentence_subjectivity(unit, self.subjectivity),
-            degree_hits=sum(1 for flag in tag_degree(unit) if flag != DEGREE_NONE),
-            speakers=tuple(sorted(detect_reported_speech(unit, self.matcher))),
+            positive=positive,
+            negative=negative,
+            subjectivity=sentence_subjectivity(subjectivities),
+            degree_hits=tag_degree(degrees),
+            speakers=speakers,
         )
 
     @classmethod

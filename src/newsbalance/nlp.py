@@ -1,5 +1,10 @@
-"""Sentence-level analyzers: valence sentiment, subjectivity, degree tagging,
-and reported-speech (point-of-view) detection.
+"""Token rules of the four sentence analyzers: valence sentiment,
+subjectivity, degree tagging and reported-speech (point-of-view) detection.
+
+Every rule the analyzers apply to one token depends only on its surface
+form. So a `FactTable` works each token type's facts out once, on the type's
+first sight. `metrics.AnalyzerSuite.features` reads a unit's facts in one
+pass, as columns, and each analyzer here scores the unit from its columns.
 
 The sentiment analyzer follows the published lexicon-and-rules recipe: token
 valences from a lexicon file, a sign-flipping negation damp of 0.74 within a
@@ -13,25 +18,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress, count
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import ConfigError
-from .tagging import PhraseMatcher, expand_hyphens
+from .tagging import expand_hyphens
 from ._data import data_path
 
 __all__ = [
-    "SentimentResult",
     "ValenceLexicon",
+    "TypeFacts",
+    "FactTable",
     "sentence_sentiment",
     "load_subjectivity_lexicon",
     "default_valence_lexicon",
     "default_subjectivity_lexicon",
     "sentence_subjectivity",
     "tag_degree",
-    "DEGREE_NONE",
-    "DEGREE_COMPARATIVE",
-    "DEGREE_SUPERLATIVE",
     "detect_reported_speech",
 ]
 
@@ -39,10 +43,6 @@ NEGATION_DAMP = -0.74
 CAPS_EMPHASIS = 0.733
 NORMALIZE_ALPHA = 15.0
 _NEGATION_WINDOW = 3
-
-DEGREE_NONE = "none"
-DEGREE_COMPARATIVE = "comparative"
-DEGREE_SUPERLATIVE = "superlative"
 
 _SUPERLATIVE_WORDS = frozenset({"most", "least", "best", "worst"})
 _COMPARATIVE_WORDS = frozenset({"more", "less", "better", "worse"})
@@ -69,14 +69,6 @@ _MIN_DEGREE_STEM = 3
 
 _FINITE_NARRATIVE_VERBS = frozenset({"say", "says", "said", "tell", "tells", "told"})
 _NARRATIVE_VERBS = _FINITE_NARRATIVE_VERBS | {"saying", "telling"}
-
-
-@dataclass(frozen=True)
-class SentimentResult:
-    """Positive and negative sentiment components, each in [0, 1]."""
-
-    positive: float
-    negative: float
 
 
 @dataclass(frozen=True)
@@ -149,37 +141,118 @@ def _is_all_caps(token: str) -> bool:
     return token.isupper() and any(ch.isalpha() for ch in token)
 
 
-def sentence_sentiment(tokens: Sequence[str], lexicon: ValenceLexicon) -> SentimentResult:
-    """Score a tokenized sentence's positive and negative components.
+def _is_degree_word(low: str) -> bool:
+    """Whether a lowercase token is a comparative or a superlative.
 
-    Rule order per lexicon hit: all-caps emphasis, booster adjustment from the
-    three preceding tokens, then negation (sign flip damped by 0.74) if a
-    negator occurs in the same window. The positive and negative valence sums
-    are normalized separately with the alpha=15 rule.
+    Closed word lists override the suffix rules; a blocker list stops -er/-est
+    lookalikes. The suffix rules require a stem of at least three letters,
+    which is what makes "nicer" match while "over" or "west" do not.
     """
-    caps = [_is_all_caps(t) for t in tokens]
-    mixed_case = any(caps) and not all(caps)
+    if low in _DEGREE_BLOCKERS or not low.isalpha():
+        return False
+    return (
+        low in _SUPERLATIVE_WORDS
+        or low in _COMPARATIVE_WORDS
+        or (low.endswith("est") and len(low) - 3 >= _MIN_DEGREE_STEM)
+        or (low.endswith("er") and len(low) - 2 >= _MIN_DEGREE_STEM)
+    )
+
+
+class TypeFacts(NamedTuple):
+    """What the four analyzers read from one token type."""
+
+    lower: str
+    valence: float | None  # None without a lexicon entry, or for a valence of 0
+    caps: bool  # all-caps: upper case, with at least one letter
+    booster: float | None  # the additive modifier of a booster, else None
+    negator: bool
+    subjectivity: float | None  # None without a lexicon entry
+    degree: bool  # a comparative or a superlative
+    narrative: bool  # one of its hyphen parts is a say/tell form
+
+
+# Token types a fact table keeps. A type's facts take about 200 bytes
+# besides its key (measured on 16,000 random mixed-case tokens), so a table
+# keeps at most about 3 MB of them.
+_FACTS_LIMIT = 1 << 14
+
+
+class FactTable:
+    """Each token type's `TypeFacts` under one valence and one subjectivity
+    lexicon.
+
+    A type's facts are worked out on its first sight and kept, keyed on its
+    exact surface form: "GOOD" and "good" differ in their caps flag. The table
+    forgets them all when it holds `_FACTS_LIMIT` types, so an archive's
+    vocabulary does not set its size.
+    """
+
+    def __init__(self, valence: ValenceLexicon, subjectivity: Mapping[str, float]):
+        self._valence = valence
+        self._subjectivity = subjectivity
+        self._facts: dict[str, TypeFacts] = {}
+
+    def __call__(self, tokens: Sequence[str]) -> list[TypeFacts]:
+        """The facts of each token, in order."""
+        get = self._facts.get
+        return [get(token) or self._first_sight(token) for token in tokens]
+
+    def _first_sight(self, token: str) -> TypeFacts:
+        if len(self._facts) >= _FACTS_LIMIT:
+            self._facts.clear()
+        low = token.lower()
+        valence = self._valence.valences.get(low)
+        facts = self._facts[token] = TypeFacts(
+            lower=low,
+            valence=None if valence == 0.0 else valence,
+            caps=_is_all_caps(token),
+            booster=self._valence.boosters.get(low),
+            negator=low in self._valence.negators,
+            subjectivity=self._subjectivity.get(low),
+            degree=_is_degree_word(low),
+            # Lowercasing neither makes nor removes a hyphen, so these are the
+            # lowercase forms of the token's hyphen parts.
+            narrative=any(part in _NARRATIVE_VERBS for part in expand_hyphens((low,))),
+        )
+        return facts
+
+
+# The analyzers below read a unit's facts by column, in token order: the
+# column of one `TypeFacts` field over the unit's tokens.
+
+
+def sentence_sentiment(
+    valences: Sequence[float | None],
+    caps: Sequence[bool],
+    boosters: Sequence[float | None],
+    negators: Sequence[bool],
+) -> tuple[float, float]:
+    """A unit's positive and negative components, each in [0, 1].
+
+    Rule order per valence hit: all-caps emphasis in a mixed-case unit, then
+    each booster among the three preceding tokens, from the farthest to the
+    nearest, signed by the running valence, then negation (sign flip damped
+    by 0.74) if a negator occurs in the same window. The positive and
+    negative valence sums are normalized separately with the alpha=15 rule.
+    """
+    mixed_case = 0 < sum(caps) < len(caps)
     positive_sum = 0.0
     negative_sum = 0.0
-    lowered = [t.lower() for t in tokens]
-    for i, low in enumerate(lowered):
-        valence = lexicon.valences.get(low)
-        if valence is None or valence == 0.0:
-            continue
+    for i in compress(count(), valences):
+        valence = valences[i]
         if mixed_case and caps[i]:
             valence += CAPS_EMPHASIS if valence > 0 else -CAPS_EMPHASIS
-        window = lowered[max(0, i - _NEGATION_WINDOW) : i]
-        for prev in window:
-            modifier = lexicon.boosters.get(prev)
+        start = i - _NEGATION_WINDOW if i > _NEGATION_WINDOW else 0
+        for modifier in boosters[start:i]:
             if modifier is not None:
                 valence += modifier if valence > 0 else -modifier
-        if any(prev in lexicon.negators for prev in window):
+        if any(negators[start:i]):
             valence *= NEGATION_DAMP
         if valence > 0:
             positive_sum += valence
         else:
             negative_sum += -valence
-    return SentimentResult(positive=_normalize(positive_sum), negative=_normalize(negative_sum))
+    return _normalize(positive_sum), _normalize(negative_sum)
 
 
 def load_subjectivity_lexicon(path: str | Path) -> dict:
@@ -203,55 +276,31 @@ def default_subjectivity_lexicon() -> dict:
     return load_subjectivity_lexicon(data_path("subjectivity_lexicon.tsv"))
 
 
-def sentence_subjectivity(tokens: Sequence[str], lexicon: dict) -> float:
-    """Mean subjectivity over tokens with lexicon entries; 0 with no hits."""
-    hits = [lexicon[t.lower()] for t in tokens if t.lower() in lexicon]
+def sentence_subjectivity(subjectivities: Sequence[float | None]) -> float:
+    """Mean subjectivity over a unit's tokens with lexicon entries; 0 with no hits."""
+    hits = [s for s in subjectivities if s is not None]
     if not hits:
         return 0.0
     return sum(hits) / len(hits)
 
 
-def tag_degree(tokens: Sequence[str]) -> list[str]:
-    """Flag each token as none/comparative/superlative.
-
-    Closed exception lists override the suffix rules; a blocker list stops
-    -er/-est lookalikes. The suffix rules require a stem of at least three
-    letters, which is what makes "nicer" match while "over" or "west" do not.
-    """
-    flags = []
-    for token in tokens:
-        low = token.lower()
-        if low in _DEGREE_BLOCKERS or not low.isalpha():
-            flags.append(DEGREE_NONE)
-        elif low in _SUPERLATIVE_WORDS:
-            flags.append(DEGREE_SUPERLATIVE)
-        elif low in _COMPARATIVE_WORDS:
-            flags.append(DEGREE_COMPARATIVE)
-        elif low.endswith("est") and len(low) - 3 >= _MIN_DEGREE_STEM:
-            flags.append(DEGREE_SUPERLATIVE)
-        elif low.endswith("er") and len(low) - 2 >= _MIN_DEGREE_STEM:
-            flags.append(DEGREE_COMPARATIVE)
-        else:
-            flags.append(DEGREE_NONE)
-    return flags
+def tag_degree(degrees: Sequence[bool]) -> int:
+    """How many of a unit's tokens are comparatives or superlatives."""
+    return sum(degrees)
 
 
-def detect_reported_speech(tokens: Sequence[str], matcher: PhraseMatcher) -> set[str]:
-    """Parties whose speech the sentence's tokens report, as labeled by the
-    party `matcher` (`tagging.build_matcher`).
+def detect_reported_speech(lowered: Sequence[str], spans: Sequence[tuple[int, int, str]]) -> set[str]:
+    """Parties whose speech a unit reports, from its tokens' lowercase forms
+    and its party phrase `spans` (`PhraseMatcher.match_spans` of the unit).
 
     A party is attributed when one of its phrases occurs before a
     narrative-verb form (say/tell and inflections) with no other finite
     narrative verb between the phrase and that verb: a shallow stand-in for
     subject detection that needs no parser.
     """
-    expanded = expand_hyphens(tokens)
-    lowered = [t.lower() for t in expanded]
-    verb_positions = [i for i, t in enumerate(lowered) if t in _NARRATIVE_VERBS]
-    if not verb_positions:
-        return set()
-    finite_positions = [i for i, t in enumerate(lowered) if t in _FINITE_NARRATIVE_VERBS]
-    spans = matcher.match_spans(tokens)
+    expanded = expand_hyphens(lowered)
+    verb_positions = [i for i, t in enumerate(expanded) if t in _NARRATIVE_VERBS]
+    finite_positions = [i for i, t in enumerate(expanded) if t in _FINITE_NARRATIVE_VERBS]
     attributed: set[str] = set()
     for verb_pos in verb_positions:
         preceding_finite = [k for k in finite_positions if k < verb_pos]

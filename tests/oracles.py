@@ -7,17 +7,31 @@ that replaced the oracle declared a bound.
 
 from __future__ import annotations
 
+import math
 from collections import Counter, defaultdict
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from newsbalance.corpus import Article, tokenize
+from newsbalance.corpus import Article, ArticleUnits, month_key, tokenize
 from newsbalance.embeddings import EmbeddingSpace, SgnsParams
 from newsbalance.errors import ConfigError, ContractViolation, DataError
 from newsbalance.metrics import FeatureRow, MetricId
+from newsbalance.nlp import (
+    _COMPARATIVE_WORDS,
+    _DEGREE_BLOCKERS,
+    _FINITE_NARRATIVE_VERBS,
+    _MIN_DEGREE_STEM,
+    _NARRATIVE_VERBS,
+    _SUPERLATIVE_WORDS,
+    CAPS_EMPHASIS,
+    NEGATION_DAMP,
+    NORMALIZE_ALPHA,
+    ValenceLexicon,
+)
 from newsbalance.probe import MASK
-from newsbalance.tagging import expand_hyphens
+from newsbalance.tagging import CONTENT, SCALE, MonthlyDocument, PhraseMatcher, expand_hyphens
 
 
 class CounterNgramMaskBackend:
@@ -123,6 +137,145 @@ class ExpandEachCallPhraseMatcher:
                 if tuple(folded[i + 1 : i + 1 + len(rest)]) == rest:
                     spans.append((i, i + 1 + len(rest), label))
         return spans
+
+
+# The four sentence analyzers as they were before `nlp` kept one fact table
+# per token type: each call lowercases, looks up and tests every token again.
+
+_NEGATION_WINDOW = 3
+DEGREE_NONE = "none"
+DEGREE_COMPARATIVE = "comparative"
+DEGREE_SUPERLATIVE = "superlative"
+
+
+def _normalize(total: float, alpha: float = NORMALIZE_ALPHA) -> float:
+    square = total * total
+    # Where the square overflows, the score is 1 to double precision.
+    score = total / math.sqrt(square + alpha) if square != math.inf else 1.0
+    return min(max(score, 0.0), 1.0)
+
+
+def _is_all_caps(token: str) -> bool:
+    return token.isupper() and any(ch.isalpha() for ch in token)
+
+
+def sentence_sentiment(tokens: Sequence[str], lexicon: ValenceLexicon) -> tuple[float, float]:
+    """A tokenized sentence's (positive, negative) components.
+
+    Rule order per lexicon hit: all-caps emphasis, booster adjustment from the
+    three preceding tokens, then negation (sign flip damped by 0.74) if a
+    negator occurs in the same window. The positive and negative valence sums
+    are normalized separately with the alpha=15 rule.
+    """
+    caps = [_is_all_caps(t) for t in tokens]
+    mixed_case = any(caps) and not all(caps)
+    positive_sum = 0.0
+    negative_sum = 0.0
+    lowered = [t.lower() for t in tokens]
+    for i, low in enumerate(lowered):
+        valence = lexicon.valences.get(low)
+        if valence is None or valence == 0.0:
+            continue
+        if mixed_case and caps[i]:
+            valence += CAPS_EMPHASIS if valence > 0 else -CAPS_EMPHASIS
+        window = lowered[max(0, i - _NEGATION_WINDOW) : i]
+        for prev in window:
+            modifier = lexicon.boosters.get(prev)
+            if modifier is not None:
+                valence += modifier if valence > 0 else -modifier
+        if any(prev in lexicon.negators for prev in window):
+            valence *= NEGATION_DAMP
+        if valence > 0:
+            positive_sum += valence
+        else:
+            negative_sum += -valence
+    return _normalize(positive_sum), _normalize(negative_sum)
+
+
+def sentence_subjectivity(tokens: Sequence[str], lexicon: dict) -> float:
+    """Mean subjectivity over tokens with lexicon entries; 0 with no hits."""
+    hits = [lexicon[t.lower()] for t in tokens if t.lower() in lexicon]
+    if not hits:
+        return 0.0
+    return sum(hits) / len(hits)
+
+
+def tag_degree(tokens: Sequence[str]) -> list[str]:
+    """Flag each token as none/comparative/superlative."""
+    flags = []
+    for token in tokens:
+        low = token.lower()
+        if low in _DEGREE_BLOCKERS or not low.isalpha():
+            flags.append(DEGREE_NONE)
+        elif low in _SUPERLATIVE_WORDS:
+            flags.append(DEGREE_SUPERLATIVE)
+        elif low in _COMPARATIVE_WORDS:
+            flags.append(DEGREE_COMPARATIVE)
+        elif low.endswith("est") and len(low) - 3 >= _MIN_DEGREE_STEM:
+            flags.append(DEGREE_SUPERLATIVE)
+        elif low.endswith("er") and len(low) - 2 >= _MIN_DEGREE_STEM:
+            flags.append(DEGREE_COMPARATIVE)
+        else:
+            flags.append(DEGREE_NONE)
+    return flags
+
+
+def detect_reported_speech(tokens: Sequence[str], matcher: PhraseMatcher) -> set[str]:
+    """Parties with a phrase before a narrative verb and no finite narrative
+    verb between the two; the matcher matches the unit again."""
+    expanded = expand_hyphens(tokens)
+    lowered = [t.lower() for t in expanded]
+    verb_positions = [i for i, t in enumerate(lowered) if t in _NARRATIVE_VERBS]
+    if not verb_positions:
+        return set()
+    finite_positions = [i for i, t in enumerate(lowered) if t in _FINITE_NARRATIVE_VERBS]
+    spans = matcher.match_spans(tokens)
+    attributed: set[str] = set()
+    for verb_pos in verb_positions:
+        preceding_finite = [k for k in finite_positions if k < verb_pos]
+        blocker = preceding_finite[-1] if preceding_finite else -1
+        for start, end, label in spans:
+            if end <= verb_pos and blocker < end:
+                attributed.add(label)
+    return attributed
+
+
+def reference_features(suite, unit: Sequence[str]) -> FeatureRow:
+    """`metrics.AnalyzerSuite.features` as it was: one call per analyzer."""
+    positive, negative = sentence_sentiment(unit, suite.valence)
+    return FeatureRow(
+        positive=positive,
+        negative=negative,
+        subjectivity=sentence_subjectivity(unit, suite.subjectivity),
+        degree_hits=sum(1 for flag in tag_degree(unit) if flag != DEGREE_NONE),
+        speakers=tuple(sorted(detect_reported_speech(unit, suite.matcher))),
+    )
+
+
+def reference_content_documents(articles: Sequence[Article], units: Sequence[ArticleUnits], suite) -> dict:
+    """`tagging.build_monthly_documents` in content mode with rows, as it was:
+    each unit is matched by `match_tokens` and featurized by
+    `reference_features`, which matches it again; each party's document adds
+    the unit's exact word-weighted values itself."""
+    docs: dict = {}
+    for article, (_, content) in zip(articles, units, strict=True):
+        month = month_key(article.published)
+        for unit in content:
+            parties = suite.matcher.match_tokens(unit)
+            if not parties:
+                continue
+            row = reference_features(suite, unit)
+            words = len(unit)
+            for party_id in parties:
+                doc = docs.setdefault((month, party_id), MonthlyDocument(month=month, party_id=party_id, mode=CONTENT))
+                doc.units += 1
+                doc.words += words
+                doc.pov_words += words if party_id in row.speakers else 0
+                doc.degree_hits += row.degree_hits
+                doc.positive += int(words * Fraction(row.positive) * SCALE)
+                doc.negative += int(words * Fraction(row.negative) * SCALE)
+                doc.subjectivity += int(words * Fraction(row.subjectivity) * SCALE)
+    return docs
 
 
 def float_sum_score(units: Sequence[tuple[int, FeatureRow]], party_id: str, metric: MetricId) -> float | None:

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from newsbalance import corpus, geo, metrics, nlp, tagging, timeseries
+from newsbalance import corpus, geo, metrics, tagging, timeseries
 from newsbalance.cli import RunContext, main
 from newsbalance.config import RunConfig
 from newsbalance.corpus import article_sentences, load_corpus, write_corpus
@@ -445,14 +445,18 @@ def test_partition_order_is_total(tmp_path):
     assert orders[0] == orders[1] == {("daily-alpha", 2010): (articles[2], articles[1], articles[0], articles[3])}
 
 
-def _count_calls(monkeypatch, module, name: str, counts: Counter) -> None:
-    """Count calls of module.name through every newsbalance module that holds it."""
-    original = getattr(module, name)
+def _count_calls(monkeypatch, owner, name: str, counts: Counter) -> None:
+    """Count calls of owner.name: a method of the class `owner`, or a function
+    of the module `owner` through every newsbalance module that holds it."""
+    original = getattr(owner, name)
 
     def counted(*args, **kwargs):
         counts[name] += 1
         return original(*args, **kwargs)
 
+    if isinstance(owner, type):
+        monkeypatch.setattr(owner, name, counted)
+        return
     for held_name, held in list(sys.modules.items()):
         if held_name.startswith("newsbalance") and getattr(held, name, None) is original:
             monkeypatch.setattr(held, name, counted)
@@ -470,7 +474,7 @@ def test_report_splits_and_scores_each_article_once(two_year_dir, tmp_path, monk
     counts: Counter = Counter()
     _count_calls(monkeypatch, corpus, "load_corpus", counts)
     _count_calls(monkeypatch, corpus, "split_sentences", counts)
-    _count_calls(monkeypatch, nlp, "sentence_sentiment", counts)
+    _count_calls(monkeypatch, AnalyzerSuite, "features", counts)
     _count_calls(monkeypatch, metrics, "compute_all_series", counts)
     _count_calls(monkeypatch, tagging, "build_monthly_documents", counts)
     _count_calls(monkeypatch, timeseries, "dtw_distance", counts)
@@ -484,7 +488,7 @@ def test_report_splits_and_scores_each_article_once(two_year_dir, tmp_path, monk
         assert counts["load_corpus"] == len(raw["corpora"]), cpus
         # SGNS here trains from the units the other commands share
         assert counts["split_sentences"] == len(articles), cpus
-        assert 0 < counts["sentence_sentiment"] <= scored_units
+        assert 0 < counts["features"] <= scored_units
         # the series once, from one document build per (outlet, year) partition and mode
         assert counts["compute_all_series"] == 1
         assert counts["build_monthly_documents"] == 2 * len(partitions)
@@ -495,18 +499,27 @@ def test_report_splits_and_scores_each_article_once(two_year_dir, tmp_path, monk
 
 def test_coverage_metrics_alone_featurize_no_unit(two_year_dir, tmp_path, monkeypatch):
     """With only the coverage metrics configured, no unit gets a feature row,
-    and their series are the ones the default metrics give."""
+    and their series are the ones the default metrics give. Either way the
+    party matcher matches each headline and each content unit once."""
     raw = json.loads((two_year_dir / "config.json").read_text())
     raw["corpora"] = {k: str(two_year_dir / v) for k, v in raw["corpora"].items()}
+    articles = [a for path in raw["corpora"].values() for a in load_corpus(path)[0]]
+    content_units = sum(len(article_sentences(a)) for a in articles)
     raw["metrics"] = ["cov_head", "cov_content"]
     config = tmp_path / "config.json"
     config.write_text(json.dumps(raw), encoding="utf-8")
     counts: Counter = Counter()
-    _count_calls(monkeypatch, nlp, "sentence_sentiment", counts)
+    _count_calls(monkeypatch, AnalyzerSuite, "features", counts)
+    _count_calls(monkeypatch, tagging.PhraseMatcher, "match_tokens", counts)
+    _count_calls(monkeypatch, tagging.PhraseMatcher, "match_spans", counts)
     assert main(["metrics", "--config", str(config), "--out", str(tmp_path / "coverage")]) == 0
-    assert counts["sentence_sentiment"] == 0
+    assert counts["features"] == 0
+    # headline mode matches each headline, content mode each content unit
+    assert counts["match_tokens"] + counts["match_spans"] == len(articles) + content_units
+    counts.clear()
     assert main(["metrics", "--config", str(two_year_dir / "config.json"), "--out", str(tmp_path / "all")]) == 0
-    assert counts["sentence_sentiment"] > 0
+    assert counts["features"] > 0
+    assert counts["match_tokens"] + counts["match_spans"] == len(articles) + content_units
 
     coverage = {p.name: p.read_bytes() for p in (tmp_path / "coverage" / "metrics").glob("*.csv")}
     assert len(coverage) == 2 * len(raw["corpora"])

@@ -1,94 +1,111 @@
 from __future__ import annotations
 
 import math
+import struct
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from newsbalance.corpus import tokenize
+from newsbalance import nlp
+from newsbalance.corpus import article_units, tokenize
 from newsbalance.errors import ConfigError
+from newsbalance.metrics import AnalyzerSuite
 from newsbalance.nlp import (
     CAPS_EMPHASIS,
-    DEGREE_COMPARATIVE,
-    DEGREE_NONE,
-    DEGREE_SUPERLATIVE,
     NEGATION_DAMP,
     NORMALIZE_ALPHA,
+    FactTable,
     ValenceLexicon,
-    default_valence_lexicon,
     default_subjectivity_lexicon,
-    detect_reported_speech,
+    default_valence_lexicon,
     load_subjectivity_lexicon,
-    sentence_sentiment,
-    sentence_subjectivity,
-    tag_degree,
 )
-from newsbalance.tagging import build_matcher
+from newsbalance.synthetic import SynthSpec, generate_corpus
+from newsbalance.tagging import build_matcher, default_party_lexicons
+
+import oracles
+from oracles import DEGREE_COMPARATIVE, DEGREE_NONE, DEGREE_SUPERLATIVE, reference_features
 
 
 def norm(total: float) -> float:
     return total / math.sqrt(total * total + NORMALIZE_ALPHA)
 
 
-@pytest.fixture(scope="module")
-def valence():
-    return default_valence_lexicon()
+def analyzers(valence=None, subjectivity=None) -> AnalyzerSuite:
+    """A suite of the default lexicons, or of the ones given."""
+    lexicons = default_party_lexicons()
+    return AnalyzerSuite(
+        valence=valence or default_valence_lexicon(),
+        subjectivity=default_subjectivity_lexicon() if subjectivity is None else subjectivity,
+        lexicons=lexicons,
+        matcher=build_matcher(lexicons),
+    )
+
+
+DEFAULT = analyzers()
+
+
+def features(tokens, valence=None, subjectivity=None):
+    """The feature row of one unit, through `AnalyzerSuite.features`."""
+    suite = DEFAULT if valence is None and subjectivity is None else analyzers(valence, subjectivity)
+    return suite.features(tuple(tokens))
+
+
+def sentiment(tokens, valence=None) -> tuple[float, float]:
+    row = features(tokens, valence)
+    return row.positive, row.negative
 
 
 class TestSentiment:
-    def test_all_neutral(self, valence):
-        result = sentence_sentiment(["the", "committee", "met", "today"], valence)
-        assert result == type(result)(positive=0.0, negative=0.0)
+    def test_all_neutral(self):
+        assert sentiment(["the", "committee", "met", "today"]) == (0.0, 0.0)
 
-    def test_single_positive_hit(self, valence):
+    def test_single_positive_hit(self):
         # the shipped lexicon carries good = 1.9; normalization is x/sqrt(x^2+15)
-        assert valence.valences["good"] == 1.9
-        result = sentence_sentiment(["good"], valence)
-        assert result.positive == pytest.approx(norm(1.9), abs=1e-12)
-        assert result.negative == 0.0
+        assert DEFAULT.valence.valences["good"] == 1.9
+        positive, negative = sentiment(["good"])
+        assert positive == pytest.approx(norm(1.9), abs=1e-12)
+        assert negative == 0.0
 
-    def test_negation_flips_and_damps(self, valence):
-        result = sentence_sentiment(["not", "good"], valence)
+    def test_negation_flips_and_damps(self):
+        positive, negative = sentiment(["not", "good"])
         expected = norm(abs(1.9 * NEGATION_DAMP))
-        assert result.positive == 0.0
-        assert result.negative == pytest.approx(expected, abs=1e-12)
+        assert positive == 0.0
+        assert negative == pytest.approx(expected, abs=1e-12)
 
-    def test_negation_window_is_three_tokens(self, valence):
-        hit = sentence_sentiment(["not", "a", "very", "good", "idea"], valence)
-        assert hit.negative > 0
-        out_of_window = sentence_sentiment(["not", "a", "b", "c", "good"], valence)
-        assert out_of_window.positive > 0 and out_of_window.negative == 0.0
+    def test_negation_window_is_three_tokens(self):
+        hit = sentiment(["not", "a", "very", "good", "idea"])
+        assert hit[1] > 0
+        out_of_window = sentiment(["not", "a", "b", "c", "good"])
+        assert out_of_window[0] > 0 and out_of_window[1] == 0.0
 
-    def test_booster_raises_magnitude(self, valence):
-        plain = sentence_sentiment(["good"], valence)
-        boosted = sentence_sentiment(["very", "good"], valence)
-        assert boosted.positive == pytest.approx(norm(1.9 + 0.293), abs=1e-12)
-        assert boosted.positive > plain.positive
+    def test_booster_raises_magnitude(self):
+        plain = sentiment(["good"])
+        boosted = sentiment(["very", "good"])
+        assert boosted[0] == pytest.approx(norm(1.9 + 0.293), abs=1e-12)
+        assert boosted[0] > plain[0]
 
-    def test_caps_emphasis_in_mixed_case(self, valence):
-        mixed = sentence_sentiment(["a", "GOOD", "deal"], valence)
-        assert mixed.positive == pytest.approx(norm(1.9 + CAPS_EMPHASIS), abs=1e-12)
-        all_caps = sentence_sentiment(["A", "GOOD", "DEAL"], valence)
-        assert all_caps.positive == pytest.approx(norm(1.9), abs=1e-12)
+    def test_caps_emphasis_in_mixed_case(self):
+        mixed = sentiment(["a", "GOOD", "deal"])
+        assert mixed[0] == pytest.approx(norm(1.9 + CAPS_EMPHASIS), abs=1e-12)
+        all_caps = sentiment(["A", "GOOD", "DEAL"])
+        assert all_caps[0] == pytest.approx(norm(1.9), abs=1e-12)
 
-    def test_outputs_bounded(self, valence):
+    def test_outputs_bounded(self):
         tokens = ["terrible", "awful", "great", "excellent"] * 10
-        result = sentence_sentiment(tokens, valence)
-        assert 0.0 <= result.positive <= 1.0
-        assert 0.0 <= result.negative <= 1.0
+        positive, negative = sentiment(tokens)
+        assert 0.0 <= positive <= 1.0
+        assert 0.0 <= negative <= 1.0
 
     @given(tokens=st.lists(st.sampled_from(["good", "bad", "the", "very", "not"]), max_size=8))
-    def test_neutral_suffix_never_changes_result(self, valence, tokens):
-        base = sentence_sentiment(tokens, valence)
-        extended = sentence_sentiment(tokens + ["committee"], valence)
-        assert base == extended
+    def test_neutral_suffix_never_changes_result(self, tokens):
+        assert sentiment(tokens) == sentiment(tokens + ["committee"])
 
     @pytest.mark.parametrize("valence", [1e200, 1e308])
     def test_huge_valence_sums_score_one(self, valence):
         """Sums whose square, or which themselves, overflow score 1, never 0 or NaN."""
         lexicon = ValenceLexicon(valences={"good": valence, "bad": -valence}, boosters={}, negators=frozenset())
-        result = sentence_sentiment(["good", "good", "bad", "bad"], lexicon)
-        assert (result.positive, result.negative) == (1.0, 1.0)
+        assert sentiment(["good", "good", "bad", "bad"], lexicon) == (1.0, 1.0)
 
     def test_loader_rejects_bad_class(self, tmp_path):
         path = tmp_path / "v.tsv"
@@ -108,17 +125,17 @@ class TestSentiment:
 
 class TestSubjectivity:
     def test_no_hits(self):
-        assert sentence_subjectivity(["committee", "met"], {"good": 0.6}) == 0.0
+        assert features(["committee", "met"], subjectivity={"good": 0.6}).subjectivity == 0.0
 
     def test_singleton_mean(self):
-        assert sentence_subjectivity(["good"], {"good": 0.8}) == 0.8
+        assert features(["good"], subjectivity={"good": 0.8}).subjectivity == 0.8
 
     def test_hand_mean(self):
         lexicon = {"odd": 0.2, "plain": 0.6}
-        assert sentence_subjectivity(["odd", "plain", "стол"], lexicon) == pytest.approx(0.4)
+        assert features(["odd", "plain", "стол"], subjectivity=lexicon).subjectivity == pytest.approx(0.4)
 
     def test_case_insensitive(self):
-        assert sentence_subjectivity(["GOOD"], {"good": 0.5}) == 0.5
+        assert features(["GOOD"], subjectivity={"good": 0.5}).subjectivity == 0.5
 
     def test_loader_range_check(self, tmp_path):
         path = tmp_path / "s.tsv"
@@ -140,15 +157,17 @@ class TestSubjectivity:
 
 
 class TestTagDegree:
+    """Degree hits through the fast path; the word table also pins the oracle's flags."""
+
     def test_exception_list_superlative(self):
-        assert tag_degree(["best"]) == [DEGREE_SUPERLATIVE]
+        assert features(["best"]).degree_hits == 1
 
     def test_suffix_rule_comparative(self):
-        # suffix oracle: strip -er, stem "great" passes the stem guard
-        assert tag_degree(["greater"]) == [DEGREE_COMPARATIVE]
+        # suffix rule: strip -er, stem "great" passes the stem guard
+        assert features(["greater"]).degree_hits == 1
 
     def test_blocker_table(self):
-        assert tag_degree(["other"]) == [DEGREE_NONE]
+        assert features(["other"]).degree_hits == 0
 
     @pytest.mark.parametrize(
         "token,expected",
@@ -171,41 +190,41 @@ class TestTagDegree:
         ],
     )
     def test_word_table(self, token, expected):
-        assert tag_degree([token]) == [expected]
+        assert features([token]).degree_hits == (expected != DEGREE_NONE)
+        assert oracles.tag_degree([token]) == [expected]
 
     def test_deterministic_and_exceptions_dominate(self):
         tokens = ["best", "other", "bigger", "most", "paper"]
-        assert tag_degree(tokens) == tag_degree(tokens)
-        assert tag_degree(["better"]) == [DEGREE_COMPARATIVE]  # not blocked by -er lookalikes
+        assert features(tokens).degree_hits == features(tokens).degree_hits == 3
+        assert features(["better"]).degree_hits == 1  # not blocked by -er lookalikes
 
 
 class TestReportedSpeech:
-    @pytest.fixture
-    def matcher(self, lexicons):
-        return build_matcher(lexicons)
+    def speakers(self, sentence) -> set[str]:
+        """The unit's speakers, from the spans it is given and from its own match."""
+        unit = tuple(tokenize(sentence))
+        given = DEFAULT.features(unit, DEFAULT.matcher.match_spans(unit)).speakers
+        assert DEFAULT.features(unit).speakers == given
+        return set(given)
 
-    def test_canonical_pattern(self, matcher):
-        assert detect_reported_speech(tokenize("BJP said the bill will pass"), matcher) == {"bjp"}
+    def test_canonical_pattern(self):
+        assert self.speakers("BJP said the bill will pass") == {"bjp"}
 
-    def test_keyword_after_verb_not_attributed(self, matcher):
-        sentence = "The minister told reporters that Congress objected"
-        assert detect_reported_speech(tokenize(sentence), matcher) == set()
+    def test_keyword_after_verb_not_attributed(self):
+        assert self.speakers("The minister told reporters that Congress objected") == set()
 
-    def test_both_parties_before_verb(self, matcher):
-        sentence = "BJP and Congress said the talks failed"
-        assert detect_reported_speech(tokenize(sentence), matcher) == {"bjp", "congress"}
+    def test_both_parties_before_verb(self):
+        assert self.speakers("BJP and Congress said the talks failed") == {"bjp", "congress"}
 
-    def test_intervening_finite_verb_blocks(self, matcher):
-        sentence = "BJP said officials told reporters about Congress"
-        assert detect_reported_speech(tokenize(sentence), matcher) == {"bjp"}
+    def test_intervening_finite_verb_blocks(self):
+        assert self.speakers("BJP said officials told reporters about Congress") == {"bjp"}
 
-    def test_no_narrative_verb(self, matcher):
-        assert detect_reported_speech(tokenize("BJP campaigned across the state"), matcher) == set()
+    def test_no_narrative_verb(self):
+        assert self.speakers("BJP campaigned across the state") == set()
 
-    def test_nonfinite_form_does_not_block(self, matcher):
+    def test_nonfinite_form_does_not_block(self):
         # "saying" anchors an attribution but must not block the earlier phrase
-        sentence = "Congress kept saying the deal was dead"
-        assert detect_reported_speech(tokenize(sentence), matcher) == {"congress"}
+        assert self.speakers("Congress kept saying the deal was dead") == {"congress"}
 
     @pytest.mark.parametrize(
         "sentence",
@@ -216,6 +235,93 @@ class TestReportedSpeech:
             "Nothing to see here",
         ],
     )
-    def test_attribution_implies_mention(self, matcher, sentence):
-        attributed = detect_reported_speech(tokenize(sentence), matcher)
-        assert attributed <= matcher.match_tokens(tokenize(sentence))
+    def test_attribution_implies_mention(self, sentence):
+        assert self.speakers(sentence) <= DEFAULT.matcher.match_tokens(tokenize(sentence))
+
+
+# Valences small enough that a booster flips their sign, so the order of the
+# boosters in a window and the sign each one reads both show in the sums.
+SIGN_FLIP = analyzers(
+    ValenceLexicon(
+        valences={"meh": 0.2, "ugh": -0.1, "fine": 0.8, "good": 1.9, "bad": -2.5, "void": 0.0},
+        boosters={"very": 0.293, "barely": -0.293, "so": 0.5},
+        negators=frozenset({"not", "never", "don't"}),
+    ),
+    {"good": 0.7, "meh": 0.0, "fine": 0.3, "bjp": 0.5},
+)
+
+# Tokens that the rules treat specially: mixed and all-caps forms, boosters of
+# either sign, negators with straight and curly apostrophes, party names
+# (hyphenated too), narrative verbs (hyphenated too), -er/-est words and their
+# blockers, and tokens the tokenizer never makes.
+_ADVERSARIAL = [
+    "good", "GOOD", "Good", "bad", "BAD", "fine", "FINE", "meh", "MEH", "ugh", "void", "x", "the", "A", "I",
+    "very", "VERY", "barely", "so", "slightly", "hardly", "less", "most", "not", "NOT", "never",
+    "don't", "don’t", "can’t", "isn't", "NSUI’s", "Delhi’s",
+    "BJP", "bjp", "Congress", "CONGRESS", "Congress-led", "BJP-ruled", "NDA-UPA", "United", "Progressive", "Alliance",
+    "said", "SAID", "told", "Told", "saying", "telling", "says", "say-so", "tell-all", "said-BJP",
+    "other", "forest", "nicer", "greatest", "better", "best", "BEST", "West", "over", "leader", "42",
+    "-", "--", "",
+]
+adversarial_units = st.lists(st.sampled_from(_ADVERSARIAL), max_size=12).map(tuple)
+# Short runs of small valences, boosters and negators, dense enough that a
+# booster flips the running sign within a window.
+window_units = st.lists(
+    st.sampled_from(["meh", "MEH", "ugh", "fine", "very", "barely", "so", "not", "x"]), max_size=8
+).map(tuple)
+
+_SYNTH = generate_corpus(SynthSpec(seed=7, months=1, articles_per_month=30))
+SYNTH_UNITS = [unit for headline, content in article_units(_SYNTH) for unit in (headline, *content)]
+synth_units = st.sampled_from(SYNTH_UNITS)
+units = st.one_of(
+    adversarial_units,
+    window_units,
+    synth_units,
+    st.tuples(synth_units, adversarial_units, synth_units).map(lambda parts: parts[0] + parts[1] + parts[2]),
+)
+
+
+def bits(row):
+    """A feature row with its floats as their bytes."""
+    floats = tuple(struct.pack("<d", x) for x in (row.positive, row.negative, row.subjectivity))
+    return floats, row.degree_hits, row.speakers
+
+
+class TestFeaturesOracle:
+    """`AnalyzerSuite.features` against `reference_features`, the four analyzers
+    as they were, bit for bit."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(units)
+    @example(())
+    @example(("not", "x", "x", "good"))  # the negator three tokens back
+    @example(("not", "x", "x", "x", "good"))  # four back: out of the window
+    @example(("barely", "very", "meh"))  # barely flips the sign that very then reads
+    @example(("Congress-led", "rally", "said", "BJP-ruled", "told", "saying"))
+    def test_rows_equal_the_oracle(self, unit):
+        for suite in (DEFAULT, SIGN_FLIP):
+            expected = bits(reference_features(suite, unit))
+            assert bits(suite.features(unit)) == expected, unit
+            assert bits(suite.features(unit, suite.matcher.match_spans(unit))) == expected, unit
+
+    def test_synth_units_equal_the_oracle(self):
+        for suite in (DEFAULT, SIGN_FLIP):
+            assert [bits(suite.features(u)) for u in SYNTH_UNITS] == [
+                bits(reference_features(suite, u)) for u in SYNTH_UNITS
+            ]
+
+    def test_facts_stay_bounded(self):
+        """More types than the table keeps: it is cleared, and rows do not change."""
+        suite = analyzers()
+        types = [f"w{i}" for i in range(nlp._FACTS_LIMIT + 100)]
+        units = [tuple(types[i : i + 7]) + ("not", "GOOD", "said", "BJP") for i in range(0, len(types), 7)]
+        for unit in units:
+            assert bits(suite.features(unit)) == bits(reference_features(suite, unit))
+            assert len(suite.facts._facts) <= nlp._FACTS_LIMIT
+
+    def test_case_forms_are_separate_types(self):
+        table = FactTable(default_valence_lexicon(), {})
+        upper, lower = table(["GOOD", "good"])
+        assert upper.caps and not lower.caps
+        assert upper._replace(caps=False) == lower
+        assert len(table._facts) == 2

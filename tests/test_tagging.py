@@ -3,7 +3,7 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from newsbalance import tagging
 from newsbalance.corpus import MonthKey, article_sentences, article_units, headline_sentence, month_key, tokenize
@@ -21,8 +21,8 @@ from newsbalance.tagging import (
 )
 from newsbalance._data import data_path
 
-from conftest import make_article
-from oracles import ExpandEachCallPhraseMatcher
+from conftest import adversarial_text, make_article
+from oracles import ExpandEachCallPhraseMatcher, reference_content_documents
 
 
 def match_parties(text, lexicons):
@@ -83,6 +83,11 @@ def build(articles, lexicons, mode, suite):
     """The documents of the articles, tagged with these lexicons."""
     suite = dataclasses.replace(suite, lexicons=lexicons, matcher=build_matcher(lexicons))
     return build_monthly_documents(articles, article_units(articles), mode, suite, True)
+
+
+# Adversarial text with reported speech by hyphenated and plain party names.
+_SPEECH = ["BJP said", "Congress-led allies told", "NDA-UPA", "BJP-ruled states kept saying", "Congress and BJP said"]
+speech_text = st.lists(st.one_of(adversarial_text, st.sampled_from(_SPEECH)), max_size=6).map(" ".join)
 
 
 class TestBuildMonthlyDocuments:
@@ -149,6 +154,23 @@ class TestBuildMonthlyDocuments:
                         units, words = expected.get(key, (0, 0))
                         expected[key] = (units + 1, words + len(unit))
         assert {key: (doc.units, doc.words) for key, doc in docs.items()} == expected
+
+    def test_content_documents_equal_the_oracle(self, suite, bundled_articles):
+        """Each unit matched once, its row scaled once: the documents of the
+        analyzers as they were, unit by unit."""
+        sample = bundled_articles[::7]
+        units = article_units(sample)
+        assert build_monthly_documents(sample, units, CONTENT, suite, True) == reference_content_documents(
+            sample, units, suite
+        )
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.lists(st.builds(make_article, headline=st.just(""), content=speech_text), max_size=4))
+    def test_adversarial_documents_equal_the_oracle(self, suite, articles):
+        units = article_units(articles)
+        assert build_monthly_documents(articles, units, CONTENT, suite, True) == reference_content_documents(
+            articles, units, suite
+        )
 
     def test_order_insensitive(self, lexicons, suite, bundled_articles):
         sample = list(bundled_articles[:120])
