@@ -137,13 +137,12 @@ class AnalyzerSuite:
     def __post_init__(self) -> None:
         self.facts = FactTable(self.valence, self.subjectivity)
 
-    def features(self, unit: Unit, spans: Sequence[tuple[int, int, str]] | None = None) -> FeatureRow:
+    def features(self, unit: Unit, spans: Sequence[tuple[int, int, str]]) -> FeatureRow:
         """The unit's feature row, from one pass over its tokens' facts.
 
         The pass reads the facts as columns, and each analyzer of `nlp` reads
-        its own. Speakers are looked for only in a unit with a narrative-verb
-        type; `spans` are the unit's `matcher.match_spans`, matched here when
-        the caller has none.
+        its own. `spans` are the unit's `matcher.match_spans`; speakers are
+        looked for among them only in a unit with a narrative-verb type.
         """
         if not unit:
             return FeatureRow(0.0, 0.0, 0.0, 0, ())
@@ -151,8 +150,6 @@ class AnalyzerSuite:
         positive, negative = sentence_sentiment(valences, caps, boosters, negators)
         speakers: tuple[str, ...] = ()
         if any(narratives):
-            if spans is None:
-                spans = self.matcher.match_spans(unit)
             speakers = tuple(sorted(detect_reported_speech(lowered, spans)))
         return FeatureRow(
             positive=positive,

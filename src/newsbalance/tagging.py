@@ -10,10 +10,8 @@ case-insensitively. Hyphenated compounds are split before matching, so
 A `MonthlyDocument` keeps exact integer sums over the units of one month,
 not the units, so pooling documents is a field-wise sum that does not depend
 on the order or grouping of the units. Units are tagged where the documents
-are built; nothing keeps the tags. Each unit is matched once: a content unit
-that gets a feature row is matched by its phrase spans, which give both its
-parties and the speakers of its row, and its row is scaled once for all of
-its parties.
+are built; nothing keeps the tags. Each unit is matched once, by its phrase
+spans, which give both its parties and the speakers of its feature row.
 """
 
 from __future__ import annotations
@@ -34,7 +32,6 @@ __all__ = [
     "PartyLexicon",
     "PhraseMatcher",
     "MonthlyDocument",
-    "unit_terms",
     "load_party_lexicons",
     "default_party_lexicons",
     "build_matcher",
@@ -70,12 +67,6 @@ def _scaled(value: float) -> int:
     return n * (SCALE // d)
 
 
-def unit_terms(words: int, row) -> tuple[int, int, int]:
-    """A content unit's terms of the three weighted sums: `words` times each of
-    the row's positive, negative and subjectivity values, times `SCALE`."""
-    return words * _scaled(row.positive), words * _scaled(row.negative), words * _scaled(row.subjectivity)
-
-
 @dataclass
 class MonthlyDocument:
     """Exact sums over the units (headlines or content sentences) that match
@@ -95,19 +86,17 @@ class MonthlyDocument:
     negative: int = 0
     subjectivity: int = 0
 
-    def add(self, words: int, row=None, terms: tuple[int, int, int] | None = None) -> None:
-        """Count one unit of `words` words. A content unit also brings its
-        feature row and that row's `unit_terms`."""
+    def add(self, words: int, row) -> None:
+        """Count one unit of `words` words with its feature row, or None for a headline."""
         self.units += 1
         self.words += words
         if row is not None:
             if self.party_id in row.speakers:
                 self.pov_words += words
             self.degree_hits += row.degree_hits
-            positive, negative, subjectivity = terms
-            self.positive += positive
-            self.negative += negative
-            self.subjectivity += subjectivity
+            self.positive += words * _scaled(row.positive)
+            self.negative += words * _scaled(row.negative)
+            self.subjectivity += words * _scaled(row.subjectivity)
 
     def merge(self, other: "MonthlyDocument") -> None:
         """Add the other document's sums (every field after `mode`) to this one's."""
@@ -269,41 +258,31 @@ def build_monthly_documents(
     `units` holds each article's headline unit and content sentences, in the
     order of `articles`. In headline mode the whole headline is the unit (one
     per matching article per party); in content mode every matching sentence
-    is a unit. `suite.matcher` matches each unit once. When `rows` is set, a
-    content unit's phrase spans give both its parties and, through
-    `suite.features`, the speakers of its feature row, and the row's
-    `unit_terms` are worked out once for all its parties; without rows a
-    document counts only units and words. A unit that matches several parties
-    is added to each of their documents. The sums are exact, so the documents
-    do not depend on the order of the articles.
+    is a unit. `suite.matcher` matches each unit once, and its phrase spans
+    give the unit's parties. When `rows` is set, `suite.features` turns each
+    content unit and its spans into the unit's feature row, once; without
+    rows a content document counts only units and words. A unit that matches
+    several parties is added to each of their documents. The sums are exact,
+    so the documents do not depend on the order of the articles.
     """
     if mode not in _MODES:
         raise ConfigError(f"unknown mode {mode!r}; expected one of {_MODES}")
     featurize = rows and mode == CONTENT
-    match, match_spans = suite.matcher.match_tokens, suite.matcher.match_spans
+    match_spans = suite.matcher.match_spans
     docs: dict[tuple[MonthKey, str], MonthlyDocument] = {}
-    row = terms = None
     for article, (headline, content) in zip(articles, units, strict=True):
         month = month_key(article.published)
         for unit in (headline,) if mode == HEADLINE else content:
-            words = len(unit)
-            if featurize:
-                spans = match_spans(unit)
-                if not spans:
-                    continue
-                parties = {label for _, _, label in spans}
-                row = suite.features(unit, spans)
-                terms = unit_terms(words, row)
-            else:
-                parties = match(unit)
-                if not parties:
-                    continue
-            for party_id in parties:
+            spans = match_spans(unit)
+            if not spans:
+                continue
+            row = suite.features(unit, spans) if featurize else None
+            for party_id in {label for _, _, label in spans}:
                 key = (month, party_id)
                 doc = docs.get(key)
                 if doc is None:
                     doc = docs[key] = MonthlyDocument(month=month, party_id=party_id, mode=mode)
-                doc.add(words, row, terms)
+                doc.add(len(unit), row)
     return docs
 
 

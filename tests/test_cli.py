@@ -514,12 +514,14 @@ def test_coverage_metrics_alone_featurize_no_unit(two_year_dir, tmp_path, monkey
     _count_calls(monkeypatch, tagging.PhraseMatcher, "match_spans", counts)
     assert main(["metrics", "--config", str(config), "--out", str(tmp_path / "coverage")]) == 0
     assert counts["features"] == 0
-    # headline mode matches each headline, content mode each content unit
-    assert counts["match_tokens"] + counts["match_spans"] == len(articles) + content_units
+    # headline mode matches each headline, content mode each content unit, by their spans
+    assert counts["match_spans"] == len(articles) + content_units
+    assert counts["match_tokens"] == 0
     counts.clear()
     assert main(["metrics", "--config", str(two_year_dir / "config.json"), "--out", str(tmp_path / "all")]) == 0
     assert counts["features"] > 0
-    assert counts["match_tokens"] + counts["match_spans"] == len(articles) + content_units
+    assert counts["match_spans"] == len(articles) + content_units
+    assert counts["match_tokens"] == 0
 
     coverage = {p.name: p.read_bytes() for p in (tmp_path / "coverage" / "metrics").glob("*.csv")}
     assert len(coverage) == 2 * len(raw["corpora"])

@@ -27,14 +27,7 @@ from newsbalance.metrics import (
     write_series_csv,
 )
 from newsbalance.nlp import ValenceLexicon
-from newsbalance.tagging import (
-    CONTENT,
-    HEADLINE,
-    MonthlyDocument,
-    build_matcher,
-    build_monthly_documents,
-    unit_terms,
-)
+from newsbalance.tagging import CONTENT, HEADLINE, MonthlyDocument, build_matcher, build_monthly_documents
 
 from conftest import fold_series, make_article
 from oracles import float_sum_score
@@ -86,8 +79,7 @@ def content_doc(texts, suite, party_id="bjp"):
     """A content document of one unit per text, each with its feature row."""
     doc = MonthlyDocument(month=MONTH, party_id=party_id, mode=CONTENT)
     for unit in content_units(texts):
-        row = suite.features(unit)
-        doc.add(len(unit), row, unit_terms(len(unit), row))
+        doc.add(len(unit), suite.features(unit, suite.matcher.match_spans(unit)))
     return doc
 
 
@@ -175,7 +167,7 @@ class TestScoreDocument:
         expected_num = 0.0
         expected_den = 0
         for unit in content_units(texts):
-            s = suite.features(unit).positive
+            s = suite.features(unit, suite.matcher.match_spans(unit)).positive
             expected_num += len(unit) * s
             expected_den += len(unit)
         value = score_document(doc, MetricId.POS_SENT)
@@ -229,7 +221,7 @@ WEIGHTED = (MetricId.POS_SENT, MetricId.NEG_SENT, MetricId.SUBJ, MetricId.SUPCOM
 def summed(pairs, month=MONTH, party_id="bjp"):
     doc = MonthlyDocument(month=month, party_id=party_id, mode=CONTENT)
     for words, row in pairs:
-        doc.add(words, row, unit_terms(words, row))
+        doc.add(words, row)
     return doc
 
 

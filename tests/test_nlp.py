@@ -48,7 +48,12 @@ DEFAULT = analyzers()
 def features(tokens, valence=None, subjectivity=None):
     """The feature row of one unit, through `AnalyzerSuite.features`."""
     suite = DEFAULT if valence is None and subjectivity is None else analyzers(valence, subjectivity)
-    return suite.features(tuple(tokens))
+    return row_of(suite, tuple(tokens))
+
+
+def row_of(suite, unit):
+    """The unit's feature row, given the unit's spans as the documents give them."""
+    return suite.features(unit, suite.matcher.match_spans(unit))
 
 
 def sentiment(tokens, valence=None) -> tuple[float, float]:
@@ -201,11 +206,8 @@ class TestTagDegree:
 
 class TestReportedSpeech:
     def speakers(self, sentence) -> set[str]:
-        """The unit's speakers, from the spans it is given and from its own match."""
-        unit = tuple(tokenize(sentence))
-        given = DEFAULT.features(unit, DEFAULT.matcher.match_spans(unit)).speakers
-        assert DEFAULT.features(unit).speakers == given
-        return set(given)
+        """The unit's speakers, found among its spans."""
+        return set(row_of(DEFAULT, tuple(tokenize(sentence))).speakers)
 
     def test_canonical_pattern(self):
         assert self.speakers("BJP said the bill will pass") == {"bjp"}
@@ -300,13 +302,11 @@ class TestFeaturesOracle:
     @example(("Congress-led", "rally", "said", "BJP-ruled", "told", "saying"))
     def test_rows_equal_the_oracle(self, unit):
         for suite in (DEFAULT, SIGN_FLIP):
-            expected = bits(reference_features(suite, unit))
-            assert bits(suite.features(unit)) == expected, unit
-            assert bits(suite.features(unit, suite.matcher.match_spans(unit))) == expected, unit
+            assert bits(row_of(suite, unit)) == bits(reference_features(suite, unit)), unit
 
     def test_synth_units_equal_the_oracle(self):
         for suite in (DEFAULT, SIGN_FLIP):
-            assert [bits(suite.features(u)) for u in SYNTH_UNITS] == [
+            assert [bits(row_of(suite, u)) for u in SYNTH_UNITS] == [
                 bits(reference_features(suite, u)) for u in SYNTH_UNITS
             ]
 
@@ -316,7 +316,7 @@ class TestFeaturesOracle:
         types = [f"w{i}" for i in range(nlp._FACTS_LIMIT + 100)]
         units = [tuple(types[i : i + 7]) + ("not", "GOOD", "said", "BJP") for i in range(0, len(types), 7)]
         for unit in units:
-            assert bits(suite.features(unit)) == bits(reference_features(suite, unit))
+            assert bits(row_of(suite, unit)) == bits(reference_features(suite, unit))
             assert len(suite.facts._facts) <= nlp._FACTS_LIMIT
 
     def test_case_forms_are_separate_types(self):
