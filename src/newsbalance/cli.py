@@ -49,7 +49,7 @@ from .errors import (
     UndefinedProbabilityError,
     VocabularyError,
 )
-from .geo import Gazetteer, count_mentions, coverage_distribution, write_coverage_csv, write_trends_csv, yearly_geo_trends
+from .geo import CITY, STATE, Gazetteer, count_mentions, coverage_distribution, write_coverage_csv, write_trends_csv, yearly_geo_trends
 from .metrics import (
     AnalyzerSuite,
     ImbalanceSeries,
@@ -454,16 +454,14 @@ def cmd_geo(ctx: RunContext, out_base: Path) -> dict:
     gazetteer = ctx.gazetteer
     ctx.write_skips(directory)
 
+    # {(outlet, year): {level: place counts}}
+    yearly = {key: count_mentions(units, gazetteer) for key, units in ctx.units.items()}
     payload: dict = {"totals": {}, "trends": {}}
-    yearly: dict[str, dict] = {}  # level -> {(outlet, year): place counts}
-    for level in ("city", "state"):
-        matcher, places = gazetteer.matcher(level), gazetteer.places(level)
+    for level in (CITY, STATE):
         rows = []
         outlet_counts: dict[str, Counter] = {}
-        yearly[level] = {}
-        for (outlet, year), units in ctx.units.items():
-            counts = count_mentions(units, matcher, places)
-            yearly[level][(outlet, year)] = counts
+        for (outlet, year), levels in yearly.items():
+            counts = levels[level]
             # An outlet's totals are the sums of its yearly counts.
             outlet_counts.setdefault(outlet, Counter()).update(counts)
             dist = coverage_distribution(counts)
@@ -479,7 +477,7 @@ def cmd_geo(ctx: RunContext, out_base: Path) -> dict:
             }
         payload["totals"][level] = totals
 
-    trends = yearly_geo_trends(yearly["state"])
+    trends = yearly_geo_trends({key: levels[STATE] for key, levels in yearly.items()})
     write_trends_csv(trends, directory / "trends_state.csv")
     payload["trends"] = {
         outlet: [[t.year, t.inverse_std, t.bottom20, t.bottom50] for t in rows]

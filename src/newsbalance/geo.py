@@ -2,25 +2,26 @@
 
 An article contributes at most one count per place no matter how often it
 repeats the name; matching is whole-token, case-insensitive and alias-folded
-("Odisha" counts toward "Orissa"). Counts are made from each article's
-units, one (outlet, year) partition at a time, and an outlet's totals are the
-sums of its yearly counts. Homogeneity is summarized three ways: the inverse
-standard deviation of the share distribution and the total share of the
-bottom 20% and bottom 50% of places.
+("Odisha" counts toward "Orissa"). A gazetteer holds one matcher over its
+cities and states, built when it loads, so a place name the matcher cannot
+use fails `validate`. Counts are made from each article's units, one
+(outlet, year) partition at a time, and one scan of an article counts both
+levels; an outlet's totals are the sums of its yearly counts. Homogeneity is
+summarized three ways: the inverse standard deviation of the share
+distribution and the total share of the bottom 20% and bottom 50% of places.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import ArticleUnits, tokenize
 from .errors import ConfigError, ContractViolation
 from .tagging import PhraseMatcher
-from ._data import data_path
 
 __all__ = [
     "Gazetteer",
@@ -73,10 +74,21 @@ def load_place_list(path: str | Path) -> dict[str, tuple[str, ...]]:
 
 @dataclass(frozen=True)
 class Gazetteer:
-    """City and state name lists with alias folding."""
+    """City and state name lists with alias folding, and one matcher over
+    both levels, built with the lists, whose labels are (level, place)."""
 
     cities: dict
     states: dict
+    matcher: PhraseMatcher = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        phrases = [
+            ((level, canonical), name)
+            for level, places in ((CITY, self.cities), (STATE, self.states))
+            for canonical, aliases in places.items()
+            for name in (canonical, *aliases)
+        ]
+        object.__setattr__(self, "matcher", PhraseMatcher(phrases, acronyms_case_sensitive=False))
 
     @classmethod
     def load(cls, cities_path: str | Path, states_path: str | Path) -> "Gazetteer":
@@ -86,45 +98,21 @@ class Gazetteer:
             raise ConfigError(f"{states_path}: the states list needs at least 2 places, got {len(states)}")
         return cls(cities=load_place_list(cities_path), states=states)
 
-    @classmethod
-    def default(cls) -> "Gazetteer":
-        return cls.load(data_path("india_cities.txt"), data_path("india_states.txt"))
 
-    def places(self, level: str) -> dict:
-        if level == CITY:
-            return self.cities
-        if level == STATE:
-            return self.states
-        raise ConfigError(f"unknown gazetteer level {level!r}")
-
-    def matcher(self, level: str) -> PhraseMatcher:
-        phrases = []
-        for canonical, aliases in self.places(level).items():
-            phrases.append((canonical, canonical))
-            for alias in aliases:
-                phrases.append((canonical, alias))
-        return PhraseMatcher(phrases, acronyms_case_sensitive=False)
-
-
-def count_mentions(
-    units: Sequence[ArticleUnits],
-    matcher: PhraseMatcher,
-    places: Iterable[str],
-) -> dict[str, int]:
-    """Article counts per place (once per article), zero-count places included.
+def count_mentions(units: Sequence[ArticleUnits], gazetteer: Gazetteer) -> dict[str, dict[str, int]]:
+    """Article counts per level and place (once per article), zero-count places included.
 
     `units` holds each article's headline unit and content sentences, as
-    `corpus.article_units` gives them; an article names a place when
-    `matcher`, one gazetteer level's (`Gazetteer.matcher`), finds it in the
-    headline's tokens followed by the content's. `places` are that level's
-    places.
+    `corpus.article_units` gives them; an article names a place when the
+    gazetteer's matcher finds it in the headline's tokens followed by the
+    content's, one scan for both levels.
     """
-    counts = {place: 0 for place in places}
+    counts = {CITY: dict.fromkeys(gazetteer.cities, 0), STATE: dict.fromkeys(gazetteer.states, 0)}
     for headline, content in units:
         # The content units' tokens, joined, are the content's tokens.
         tokens = [token for unit in (headline, *content) for token in unit]
-        for place in matcher.match_tokens(tokens):
-            counts[place] += 1
+        for level, place in gazetteer.matcher.match_tokens(tokens):
+            counts[level][place] += 1
     return counts
 
 
@@ -190,7 +178,8 @@ def yearly_geo_trends(
     counts: Mapping[tuple[str, int], Mapping[str, int]],
 ) -> dict[str, list[YearHomogeneity]]:
     """Per-outlet, per-year homogeneity triples from per-(outlet, year) place
-    counts, as `count_mentions` gives them; years without counts are omitted."""
+    counts, one level's of what `count_mentions` gives; years without counts
+    are omitted."""
     trends: dict[str, list[YearHomogeneity]] = {}
     for outlet, year in sorted(counts):
         dist = coverage_distribution(counts[(outlet, year)])

@@ -40,14 +40,18 @@ def popularity_pair(
     distribution: Mapping[str, float], party_b: str, party_c: str
 ) -> tuple[float, float]:
     """Each party's vote preference (its mass at the mask slot) normalized over
-    both parties; the second is defined as 1 - the first, so the pair sums to
-    1 exactly."""
+    both parties. The party whose token sorts first gets its mass over the
+    sum and the other 1 minus that, so the pair sums to 1 exactly and
+    swapping the parties swaps the pair exactly."""
     v_b = distribution.get(party_b, 0.0)
     v_c = distribution.get(party_c, 0.0)
     if v_b + v_c == 0:
         raise UndefinedProbabilityError(
             f"both parties have zero mass at the mask slot ({party_b!r}, {party_c!r})"
         )
+    if party_c < party_b:
+        p_c = v_c / (v_b + v_c)
+        return 1.0 - p_c, p_c
     p_b = v_b / (v_b + v_c)
     return p_b, 1.0 - p_b
 

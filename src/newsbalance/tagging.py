@@ -182,18 +182,9 @@ class PhraseMatcher:
             folded += low
         return expanded, folded, starts
 
-    def match_tokens(self, tokens: Sequence[str]) -> set[str]:
+    def match_tokens(self, tokens: Sequence[str]) -> set:
         """Labels whose phrase occurs in the (hyphen-expanded) token sequence."""
-        expanded, folded, starts = self._expand(tokens)
-        found: set[str] = set()
-        for i, exact, fold in starts:
-            for rest, label in exact:
-                if label not in found and tuple(expanded[i + 1 : i + 1 + len(rest)]) == rest:
-                    found.add(label)
-            for rest, label in fold:
-                if label not in found and tuple(folded[i + 1 : i + 1 + len(rest)]) == rest:
-                    found.add(label)
-        return found
+        return {label for _, _, label in self.match_spans(tokens)}
 
     def match_spans(self, tokens: Sequence[str]) -> list[tuple[int, int, str]]:
         """All phrase occurrences as (start, end_exclusive, label) over expanded tokens."""

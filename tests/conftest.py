@@ -10,6 +10,7 @@ from newsbalance.geo import Gazetteer, count_mentions
 from newsbalance.metrics import AnalyzerSuite, compute_all_series
 from newsbalance.synthetic import SynthSpec, generate_corpus
 from newsbalance.tagging import default_party_lexicons
+from newsbalance._data import data_path
 
 
 @pytest.fixture(scope="session")
@@ -24,7 +25,7 @@ def suite(lexicons):
 
 @pytest.fixture(scope="session")
 def gazetteer():
-    return Gazetteer.default()
+    return Gazetteer.load(data_path("india_cities.txt"), data_path("india_states.txt"))
 
 
 @pytest.fixture(scope="session")
@@ -50,8 +51,8 @@ def make_article(
 
 
 def place_counts(articles, gazetteer, level: str) -> dict:
-    """`geo.count_mentions` over the articles' units at one gazetteer level."""
-    return count_mentions(article_units(articles), gazetteer.matcher(level), gazetteer.places(level))
+    """`geo.count_mentions` over the articles' units, at one gazetteer level."""
+    return count_mentions(article_units(articles), gazetteer)[level]
 
 
 def yearly_place_counts(articles, gazetteer, level: str) -> dict:

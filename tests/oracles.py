@@ -313,11 +313,15 @@ def float_sum_score(units: Sequence[tuple[int, FeatureRow]], party_id: str, metr
 
 
 def whole_text_places(article: Article, level: str, gazetteer) -> frozenset[str]:
-    """The places `geo.count_mentions` finds in one article, found without
-    its units: the headline and the whole content tokenized again, then
-    matched."""
-    tokens = tokenize(article.headline) + tokenize(article.content)
-    return frozenset(gazetteer.matcher(level).match_tokens(tokens))
+    """The places of one level that `geo.count_mentions` finds in one article,
+    found without its units or the gazetteer's matcher: the headline and the
+    whole content tokenized again, then matched by a plain matcher of that
+    level's places only."""
+    places = gazetteer.cities if level == "city" else gazetteer.states
+    matcher = ExpandEachCallPhraseMatcher(
+        ((place, name) for place, aliases in places.items() for name in (place, *aliases)), False
+    )
+    return frozenset(matcher.match_tokens(tokenize(article.headline) + tokenize(article.content)))
 
 
 def _reference_vocab(sentences: Sequence[Sequence[str]], min_count: int) -> tuple[dict, np.ndarray]:

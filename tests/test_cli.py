@@ -121,6 +121,14 @@ class TestValidate:
         assert main(["validate", "--config", str(config)]) == 1
         assert "states list needs at least 2 places" in capsys.readouterr().err
 
+    def test_tokenless_place_name_rejected(self, tmp_path, synth_dir, capsys):
+        states = tmp_path / "states.txt"
+        states.write_text("Kerala\n!!!\n", encoding="utf-8")
+        config = self._rewritten_config(synth_dir, tmp_path, gazetteer={"cities": None, "states": str(states)})
+        assert main(["validate", "--config", str(config)]) == 1
+        assert main(["geo", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.count("has no word tokens: '!!!'") == 2
+
     @pytest.mark.parametrize(
         "section, key, value",
         [
@@ -445,13 +453,16 @@ def test_partition_order_is_total(tmp_path):
     assert orders[0] == orders[1] == {("daily-alpha", 2010): (articles[2], articles[1], articles[0], articles[3])}
 
 
-def _count_calls(monkeypatch, owner, name: str, counts: Counter) -> None:
+def _count_calls(monkeypatch, owner, name: str, counts: Counter, size=None) -> None:
     """Count calls of owner.name: a method of the class `owner`, or a function
-    of the module `owner` through every newsbalance module that holds it."""
+    of the module `owner` through every newsbalance module that holds it.
+    With `size`, also sum size(first argument) under counts[name, "size"]."""
     original = getattr(owner, name)
 
     def counted(*args, **kwargs):
         counts[name] += 1
+        if size is not None:
+            counts[name, "size"] += size(args[0])
         return original(*args, **kwargs)
 
     if isinstance(owner, type):
@@ -478,6 +489,8 @@ def test_report_splits_and_scores_each_article_once(two_year_dir, tmp_path, monk
     _count_calls(monkeypatch, metrics, "compute_all_series", counts)
     _count_calls(monkeypatch, tagging, "build_monthly_documents", counts)
     _count_calls(monkeypatch, timeseries, "dtw_distance", counts)
+    _count_calls(monkeypatch, geo, "count_mentions", counts, size=len)
+    _count_calls(monkeypatch, tagging.PhraseMatcher, "match_tokens", counts)
     # With 2 CPUs a worker trains two of the three outlets; with 1, this process trains all three.
     for cpus in (2, 1):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)), raising=False)
@@ -495,6 +508,10 @@ def test_report_splits_and_scores_each_article_once(two_year_dir, tmp_path, monk
         # one DTW distance per pair of clustered series
         labels = json.loads((out / "cluster" / "cluster.json").read_text())["labels"]
         assert counts["dtw_distance"] == len(labels) * (len(labels) - 1) // 2
+        # one gazetteer scan per article, for both levels; only geo matches tokens
+        assert counts["count_mentions"] == len(partitions)
+        assert counts["count_mentions", "size"] == len(articles)
+        assert counts["match_tokens"] == len(articles)
 
 
 def test_coverage_metrics_alone_featurize_no_unit(two_year_dir, tmp_path, monkeypatch):

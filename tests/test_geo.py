@@ -71,11 +71,22 @@ class TestCountMentions:
 
     def test_places_equal_the_whole_text_oracle(self, gazetteer, bundled_articles):
         articles = bundled_articles[:300]
+        for article, units in zip(articles, article_units(articles), strict=True):
+            counts = count_mentions((units,), gazetteer)
+            for level in (CITY, STATE):
+                assert {p for p, n in counts[level].items() if n} == whole_text_places(article, level, gazetteer)
+
+    def test_one_scan_keeps_each_level_apart(self, gazetteer):
+        """Delhi is a city and a state, and New Delhi an alias of both: one
+        scan still counts each level as a matcher of that level alone would."""
+        article = make_article(
+            headline="New Delhi and Odisha", content="Delhi traders reached Pimpri-Chinchwad."
+        )
+        counts = count_mentions(article_units([article]), gazetteer)
         for level in (CITY, STATE):
-            matcher, places = gazetteer.matcher(level), gazetteer.places(level)
-            for article, units in zip(articles, article_units(articles), strict=True):
-                counts = count_mentions((units,), matcher, places)
-                assert {p for p, n in counts.items() if n} == whole_text_places(article, level, gazetteer)
+            assert {p for p, n in counts[level].items() if n} == whole_text_places(article, level, gazetteer)
+        assert {p for p, n in counts[CITY].items() if n} == {"Delhi", "Pimpri-Chinchwad"}
+        assert {p for p, n in counts[STATE].items() if n} == {"Delhi", "Orissa"}
 
     @settings(max_examples=200, deadline=None)
     @given(adversarial_text, adversarial_text)

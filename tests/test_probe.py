@@ -51,6 +51,21 @@ class TestPopularity:
             p_b, p_c = popularity_pair(dist, "BJP", "Congress")
             assert p_b + p_c == 1.0
 
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 1.0),
+        st.lists(st.sampled_from(["BJP", "Congress", "AAP", "other"]), min_size=2, max_size=2, unique=True),
+    )
+    def test_party_swap_is_exact(self, v_b, v_c, parties):
+        party_b, party_c = parties
+        dist = {party_b: v_b, party_c: v_c}
+        if v_b + v_c == 0:
+            return
+        p_b, p_c = popularity_pair(dist, party_b, party_c)
+        swapped = popularity_pair(dist, party_c, party_b)
+        assert [p.hex() for p in swapped] == [p_c.hex(), p_b.hex()]
+
 
 class TestTokenDeltaRanking:
     def test_identical_backends_empty(self):

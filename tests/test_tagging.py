@@ -231,9 +231,13 @@ class TestPhraseMatcherOracle:
         gazetteer = Gazetteer.load(data_path("india_cities.txt"), data_path("india_states.txt"))
         party = [(lex.party_id, phrase) for lex in lexicons for phrase in lex.phrases]
         pairs = [(PhraseMatcher(party), ExpandEachCallPhraseMatcher(party))]
-        for level in (CITY, STATE):
-            places = [(place, alias) for place, aliases in gazetteer.places(level).items() for alias in (place, *aliases)]
+        both = []
+        for level, places in ((CITY, gazetteer.cities), (STATE, gazetteer.states)):
+            places = [(place, alias) for place, aliases in places.items() for alias in (place, *aliases)]
             pairs.append((PhraseMatcher(places, False), ExpandEachCallPhraseMatcher(places, False)))
+            both += [((level, place), alias) for place, alias in places]
+        # The gazetteer's own matcher, over both levels.
+        pairs.append((gazetteer.matcher, ExpandEachCallPhraseMatcher(both, False)))
         return pairs
 
     def test_edge_cases(self, matchers):
