@@ -15,7 +15,9 @@ trains from them; party tags and place sets are computed where they are read.
 deterministic JSON file. It starts the SGNS training first: worker processes
 split and train every outlet but the first, and this process trains the first
 from its units, then runs `metrics`, `cluster`, `geo` and `probe` while the
-workers train, and `weat` last.
+workers train, and `weat` last. `_write_csv` writes every CSV artifact, in
+one dialect, from rows its command builds: the coverage tables' rows, and the
+payload's for the rest, so those CSVs hold what the bundle holds.
 
 Exit codes: 0 ok, 1 config error, 2 data error, 3 internal error.
 """
@@ -23,6 +25,7 @@ Exit codes: 0 ok, 1 config error, 2 data error, 3 internal error.
 from __future__ import annotations
 
 import argparse
+import csv
 import datetime as dt
 import json
 import logging
@@ -49,20 +52,13 @@ from .errors import (
     UndefinedProbabilityError,
     VocabularyError,
 )
-from .geo import CITY, STATE, Gazetteer, count_mentions, coverage_distribution, write_coverage_csv, write_trends_csv, yearly_geo_trends
-from .metrics import (
-    AnalyzerSuite,
-    ImbalanceSeries,
-    aggregate_mean_abs,
-    compute_all_series,
-    format_pooled,
-    write_series_csv,
-)
+from .geo import CITY, STATE, Gazetteer, count_mentions, coverage_distribution, yearly_geo_trends
+from .metrics import AnalyzerSuite, ImbalanceSeries, aggregate_mean_abs, compute_all_series, format_pooled
 from .nlp import ValenceLexicon, default_subjectivity_lexicon, load_subjectivity_lexicon
 from .probe import ngram_backend, popularity_pair, token_delta_ranking
 from .synthetic import SynthSpec, default_config, generate_corpus, write_outlet_files
 from .tagging import build_matcher, default_party_lexicons, load_party_lexicons
-from .timeseries import cluster, distance_matrix, drop_missing, write_distance_csv, z_normalize
+from .timeseries import cluster, distance_matrix, drop_missing, z_normalize
 from .training import SgnsJob, SgnsResult, SgnsWorkers, train_outlet
 from ._data import data_path
 
@@ -100,6 +96,13 @@ def _load_gazetteer(cfg: RunConfig) -> Gazetteer:
     cities = cfg.gazetteer.cities or data_path("india_cities.txt")
     states = cfg.gazetteer.states or data_path("india_states.txt")
     return Gazetteer.load(cities, states)
+
+
+def _association_sets(cfg: RunConfig, lexicons) -> AssociationSets:
+    """WEAT's sets: each party's single-token phrases, lowercased for
+    embedding lookups, and the configured attribute words."""
+    s1, s2 = (tuple(sorted({p.lower() for p in lex.phrases if len(p.split()) == 1})) for lex in lexicons)
+    return AssociationSets(s1=s1, s2=s2, a1=cfg.weat.attributes_positive, a2=cfg.weat.attributes_negative)
 
 
 def _sgns_worker_count(outlets: int) -> int:
@@ -288,6 +291,16 @@ def _write_json(payload, path: Path) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n", encoding="utf-8")
 
 
+def _write_csv(path: Path, header: Sequence, rows) -> None:
+    """The run's one CSV dialect: a header row, LF line ends, fields quoted
+    only where they hold a comma, quote or line break. None is an empty cell
+    and a float its repr, as in the JSON artifacts."""
+    with path.open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _command_dir(out_base: Path, name: str) -> Path:
     directory = out_base / name
     directory.mkdir(parents=True, exist_ok=True)
@@ -299,6 +312,7 @@ def _command_dir(out_base: Path, name: str) -> Path:
 def cmd_validate(cfg: RunConfig) -> dict:
     lexicons = _load_lexicons(cfg)
     _load_suite(cfg, lexicons)
+    _association_sets(cfg, lexicons)
     _load_gazetteer(cfg)
     return {
         "outlets": sorted(cfg.corpora),
@@ -318,11 +332,10 @@ def cmd_metrics(ctx: RunContext, out_base: Path) -> dict:
     payload: dict = {}
     for metric_name, by_outlet in sorted(ctx.series.items()):
         for outlet, series in sorted(by_outlet.items()):
-            write_series_csv(series, directory / f"{outlet}__{metric_name}.csv")
+            rows = [[str(p.month), p.score_b, p.score_c, p.value] for p in series.points]
+            _write_csv(directory / f"{outlet}__{metric_name}.csv", ["month", "score_b", "score_c", "imbalance"], rows)
             payload.setdefault(outlet, {})[metric_name] = {
-                "series": [
-                    [str(p.month), p.score_b, p.score_c, p.value] for p in series.points
-                ],
+                "series": rows,
                 "pooled": series.pooled,
                 "pooled_display": format_pooled(series.pooled),
                 "mean_abs": aggregate_mean_abs(series),
@@ -357,7 +370,7 @@ def cmd_cluster(ctx: RunContext, out_base: Path) -> dict:
     if len(cleaned) < 2:
         raise DataError("clustering needs at least 2 non-empty series")
     labels, matrix = distance_matrix({f"{outlet}/{m}": values for (outlet, m), values in cleaned.items()})
-    write_distance_csv(labels, matrix, directory / "distance_matrix.csv")
+    _write_csv(directory / "distance_matrix.csv", ["", *labels], ([label, *row] for label, row in zip(labels, matrix)))
     payload: dict = {
         "linkage": clustering.linkage,
         "skipped": sorted(skipped),
@@ -392,17 +405,6 @@ def cmd_cluster(ctx: RunContext, out_base: Path) -> dict:
     return payload
 
 
-def _party_token_sets(lexicons) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Single-token lexicon phrases, lowercased for embedding lookups."""
-    sets = []
-    for lex in lexicons[:2]:
-        tokens = tuple(
-            sorted({p.lower() for p in lex.phrases if len(p.split()) == 1})
-        )
-        sets.append(tokens)
-    return sets[0], sets[1]
-
-
 def cmd_weat(ctx: RunContext, out_base: Path) -> dict:
     """Yearly embeddings and WEAT scores.
 
@@ -411,13 +413,11 @@ def cmd_weat(ctx: RunContext, out_base: Path) -> dict:
     """
     cfg = ctx.cfg
     directory = _command_dir(out_base, "weat")
-    lexicons = ctx.lexicons
     ctx.write_skips(directory)
-    s1, s2 = _party_token_sets(lexicons)
-    sets = AssociationSets(s1=s1, s2=s2, a1=cfg.weat.attributes_positive, a2=cfg.weat.attributes_negative)
+    sets = _association_sets(cfg, ctx.lexicons)
 
     payload: dict = {}
-    csv_rows: list[str] = ["outlet,year,group1,group2,weat_score"]
+    rows = []
     for outlet, spaces in ctx.sgns_spaces.items():
         for space in spaces:
             save_binary(space, directory / f"{outlet}_{space.year}.nbe")
@@ -436,13 +436,11 @@ def cmd_weat(ctx: RunContext, out_base: Path) -> dict:
             "group2": timeline.group2,
             "weat_scores": scores,
         }
-        for year, g1, g2 in zip(timeline.years, timeline.group1, timeline.group2):
-            score = scores.get(str(year))
-            csv_rows.append(
-                f"{outlet},{year},{'' if g1 is None else repr(g1)},"
-                f"{'' if g2 is None else repr(g2)},{'' if score is None else repr(score)}"
-            )
-    (directory / "popularity.csv").write_text("\n".join(csv_rows) + "\n", encoding="utf-8")
+        rows += [
+            [outlet, year, g1, g2, scores.get(str(year))]
+            for year, g1, g2 in zip(timeline.years, timeline.group1, timeline.group2)
+        ]
+    _write_csv(directory / "popularity.csv", ["outlet", "year", "group1", "group2", "weat_score"], rows)
     _write_json(payload, directory / "weat.json")
     _write_json(_provenance(cfg, "weat"), directory / "provenance.json")
     return payload
@@ -467,7 +465,7 @@ def cmd_geo(ctx: RunContext, out_base: Path) -> dict:
             dist = coverage_distribution(counts)
             for place in sorted(dist.counts):
                 rows.append((year, outlet, place, dist.counts[place], dist.shares[place]))
-        write_coverage_csv(rows, directory / f"coverage_{level}.csv")
+        _write_csv(directory / f"coverage_{level}.csv", ["year", "outlet", "place", "count", "share"], rows)
         totals = {}
         for outlet, counts in sorted(outlet_counts.items()):
             dist = coverage_distribution(counts)
@@ -478,11 +476,15 @@ def cmd_geo(ctx: RunContext, out_base: Path) -> dict:
         payload["totals"][level] = totals
 
     trends = yearly_geo_trends({key: levels[STATE] for key, levels in yearly.items()})
-    write_trends_csv(trends, directory / "trends_state.csv")
     payload["trends"] = {
         outlet: [[t.year, t.inverse_std, t.bottom20, t.bottom50] for t in rows]
         for outlet, rows in sorted(trends.items())
     }
+    _write_csv(
+        directory / "trends_state.csv",
+        ["outlet", "year", "inverse_std", "bottom20_pct", "bottom50_pct"],
+        ([outlet, *row] for outlet, rows in payload["trends"].items() for row in rows),
+    )
     _write_json(payload, directory / "geo.json")
     _write_json(_provenance(cfg, "geo"), directory / "provenance.json")
     return payload
@@ -495,7 +497,6 @@ def cmd_probe(ctx: RunContext, out_base: Path) -> dict:
     party_b, party_c = cfg.probe.party_tokens
 
     payload: dict = {}
-    csv_rows = [f"outlet,year,p_{party_b},p_{party_c}"]
     for outlet, partitions in _outlet_years(ctx.units):
         years = [year for year, _ in partitions]
         slots = {}  # year -> the slice's distribution at the prompt's mask slot
@@ -508,9 +509,6 @@ def cmd_probe(ctx: RunContext, out_base: Path) -> dict:
             except UndefinedProbabilityError:
                 p_b = p_c = None
             popularity.append([year, p_b, p_c])
-            csv_rows.append(
-                f"{outlet},{year},{'' if p_b is None else repr(p_b)},{'' if p_c is None else repr(p_c)}"
-            )
         rising: list = []
         falling: list = []
         if len(years) >= 2:
@@ -522,7 +520,11 @@ def cmd_probe(ctx: RunContext, out_base: Path) -> dict:
             "rising": [[t, d] for t, d in rising],
             "falling": [[t, d] for t, d in falling],
         }
-    (directory / "popularity.csv").write_text("\n".join(csv_rows) + "\n", encoding="utf-8")
+    _write_csv(
+        directory / "popularity.csv",
+        ["outlet", "year", f"p_{party_b}", f"p_{party_c}"],
+        ([outlet, *row] for outlet, entry in payload.items() for row in entry["popularity"]),
+    )
     _write_json(payload, directory / "probe.json")
     _write_json(_provenance(cfg, "probe"), directory / "provenance.json")
     return payload

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any
 
-from .corpus import tokenize
+from .corpus import is_outlet_name, tokenize
 from .errors import ConfigError
 from .metrics import MetricId
 from .probe import MASK, VOTE_PROMPT
@@ -135,6 +135,12 @@ def _path(value: Any, key: str, rule: dict, base_dir: Path) -> Path | None:
 def _corpora(value: Any, key: str, rule: dict, base_dir: Path) -> dict[str, Path]:
     if not isinstance(value, dict) or not value:
         raise ConfigError(f"config key {key}: expected a non-empty object of outlet -> path")
+    for outlet in value:
+        if not is_outlet_name(outlet):
+            raise ConfigError(
+                f"config key {key}: outlet {outlet!r} is not letters, digits, '_', '-' and '.', "
+                "starting with a letter or digit"
+            )
     return {
         outlet: _path(path, f"{key}.{outlet}", {"required": True}, base_dir)
         for outlet, path in sorted(value.items())

@@ -25,6 +25,7 @@ __all__ = [
     "Unit",
     "MonthKey",
     "SkipRecord",
+    "is_outlet_name",
     "load_corpus",
     "iter_corpus",
     "write_corpus",
@@ -40,6 +41,10 @@ __all__ = [
 ]
 
 _ARTICLE_FIELDS = ("id", "outlet", "published", "headline", "content")
+
+# An outlet name is a stem of artifact file names and a part of labels, so it
+# is letters, digits, "_", "-" and ".", starting with a letter or digit.
+_OUTLET_NAME_RE = re.compile(r"[^\W_][\w.-]*")
 
 # Maximal runs of letters/digits, optionally chained by internal
 # apostrophes/hyphens ("Congress-led", "don't"). Case is preserved.
@@ -123,6 +128,11 @@ def tokenize(text: str) -> list[str]:
     All other punctuation is dropped and case is preserved.
     """
     return _TOKEN_RE.findall(text)
+
+
+def is_outlet_name(name: str) -> bool:
+    """Whether `name` is a safe outlet name: a file-name stem with no path or separator in it."""
+    return _OUTLET_NAME_RE.fullmatch(name) is not None
 
 
 def split_sentences(text: str) -> list[str]:
@@ -226,6 +236,8 @@ def _parse_record(line: str) -> tuple[Article | None, str]:
             return None, f"field is not a string: {name}"
     if not record["id"]:
         return None, "empty id"
+    if not is_outlet_name(record["outlet"]):
+        return None, f"outlet is not a safe name: {record['outlet']!r}"
     try:
         published = dt.date.fromisoformat(record["published"])
     except ValueError:

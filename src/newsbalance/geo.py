@@ -9,15 +9,15 @@ use fails `validate`. Counts are made from each article's units, one
 levels; an outlet's totals are the sums of its yearly counts. Homogeneity is
 summarized three ways: the inverse standard deviation of the share
 distribution and the total share of the bottom 20% and bottom 50% of places.
+This module writes no file: `cli` writes the coverage and trend tables.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .corpus import ArticleUnits, tokenize
 from .errors import ConfigError, ContractViolation
@@ -33,8 +33,6 @@ __all__ = [
     "bottom_share",
     "YearHomogeneity",
     "yearly_geo_trends",
-    "write_coverage_csv",
-    "write_trends_csv",
 ]
 
 _UNIFORM_EPS = 1e-12
@@ -46,8 +44,9 @@ STATE = "state"
 def load_place_list(path: str | Path) -> dict[str, tuple[str, ...]]:
     """Parse a place file: one canonical name per line, optional comma-separated aliases.
 
-    Names must stay unique after alias folding: the same surface form may not
-    point at two different canonical places.
+    Every name needs a word token, and names must stay unique after alias
+    folding: the same surface form may not point at two different canonical
+    places.
     """
     places: dict[str, tuple[str, ...]] = {}
     folded: dict[tuple, str] = {}
@@ -63,6 +62,8 @@ def load_place_list(path: str | Path) -> dict[str, tuple[str, ...]]:
             raise ConfigError(f"{path}:{lineno}: duplicate place {canonical!r}")
         for name in names:
             key = tuple(t.lower() for part in tokenize(name) for t in part.split("-"))
+            if not key:
+                raise ConfigError(f"{path}:{lineno}: name {name!r} has no word tokens")
             owner = folded.setdefault(key, canonical)
             if owner != canonical:
                 raise ConfigError(
@@ -193,32 +194,3 @@ def yearly_geo_trends(
             )
         )
     return trends
-
-
-def write_coverage_csv(
-    rows: Iterable[tuple[int, str, str, int, float]], path: str | Path
-) -> None:
-    """Write (year, outlet, place, count, share) rows."""
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["year", "outlet", "place", "count", "share"])
-        for year, outlet, place, count, share in rows:
-            writer.writerow([year, outlet, place, count, repr(share)])
-
-
-def write_trends_csv(trends: Mapping[str, Sequence[YearHomogeneity]], path: str | Path) -> None:
-    """Write (outlet, year, inverse_std, bottom20_pct, bottom50_pct) rows."""
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["outlet", "year", "inverse_std", "bottom20_pct", "bottom50_pct"])
-        for outlet in sorted(trends):
-            for row in trends[outlet]:
-                writer.writerow(
-                    [
-                        outlet,
-                        row.year,
-                        "" if row.inverse_std is None else repr(row.inverse_std),
-                        repr(row.bottom20),
-                        repr(row.bottom50),
-                    ]
-                )

@@ -10,15 +10,14 @@ A document holds exact integer sums over its units, so its scores do not
 depend on the order or grouping of the units. The series fold over (outlet,
 year) partitions, and the pooled document is the field-wise sum of the month
 documents. A content unit's feature row comes from `AnalyzerSuite.features`,
-one pass over the per-type facts of its tokens (`nlp.FactTable`).
+one pass over the per-type facts of its tokens (`nlp.FactTable`). This
+module writes no file: `cli` writes the series as CSV tables.
 """
 
 from __future__ import annotations
 
-import csv
 import enum
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import Article, ArticleUnits, MonthKey, Unit, month_key
@@ -58,7 +57,6 @@ __all__ = [
     "aggregate_pooled",
     "aggregate_mean_abs",
     "format_pooled",
-    "write_series_csv",
     "month_span",
 ]
 
@@ -242,12 +240,6 @@ def _pool(
     return pooled
 
 
-def _check_party_pair(lexicons: Sequence[PartyLexicon]) -> tuple[str, str]:
-    if len(lexicons) != 2:
-        raise ConfigError(f"directed imbalance needs exactly 2 lexicons, got {len(lexicons)}")
-    return lexicons[0].party_id, lexicons[1].party_id
-
-
 def compute_all_series(
     partitions: Mapping[tuple[str, int], Sequence[Article]],
     units: Mapping[tuple[str, int], Sequence[ArticleUnits]],
@@ -266,7 +258,7 @@ def compute_all_series(
     """
     if not partitions:
         raise ConfigError("corpus is empty")
-    party_b, party_c = _check_party_pair(suite.lexicons)
+    party_b, party_c = (lex.party_id for lex in suite.lexicons)
     span = month_span(a for articles in partitions.values() for a in articles)
     rows = any(m.reads_row for m in metrics)
 
@@ -315,19 +307,3 @@ def format_pooled(value: float | None) -> str:
     else:
         arrow = ""
     return f"{arrow}{abs(value) * 100:.2f}"
-
-
-def write_series_csv(series: ImbalanceSeries, path: str | Path) -> None:
-    """Write one series as CSV with columns month, score_b, score_c, imbalance."""
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["month", "score_b", "score_c", "imbalance"])
-        for point in series.points:
-            writer.writerow(
-                [
-                    str(point.month),
-                    repr(point.score_b),
-                    repr(point.score_c),
-                    "" if point.value is None else repr(point.value),
-                ]
-            )

@@ -130,10 +130,10 @@ def default_valence_lexicon() -> ValenceLexicon:
     return ValenceLexicon.load(data_path("valence_lexicon.tsv"), data_path("valence_modifiers.tsv"))
 
 
-def _normalize(total: float, alpha: float = NORMALIZE_ALPHA) -> float:
+def _normalize(total: float) -> float:
     square = total * total
     # Where the square overflows, the score is 1 to double precision.
-    score = total / math.sqrt(square + alpha) if square != math.inf else 1.0
+    score = total / math.sqrt(square + NORMALIZE_ALPHA) if square != math.inf else 1.0
     return min(max(score, 0.0), 1.0)
 
 

@@ -125,10 +125,10 @@ class NgramMaskBackend:
     def _conditional(self, counts: np.ndarray, totals: int | np.ndarray) -> np.ndarray:
         return (counts + self.smoothing) / (totals + self.smoothing * len(self._tokens))
 
-    def query(self, prompt: str, mask_token: str = MASK) -> dict:
-        parts = prompt.split(mask_token)
+    def query(self, prompt: str) -> dict:
+        parts = prompt.split(MASK)
         if len(parts) != 2:
-            raise ContractViolation(f"prompt must contain exactly one {mask_token!r} slot: {prompt!r}")
+            raise ContractViolation(f"prompt must contain exactly one {MASK!r} slot: {prompt!r}")
         left = tokenize(parts[0])
         right = tokenize(parts[1])
         vocab_size = len(self._tokens)

@@ -203,8 +203,8 @@ class PhraseMatcher:
 def load_party_lexicons(path: str | Path) -> list[PartyLexicon]:
     """Load party lexicons from a JSON file of {party_id: [phrase, ...]}.
 
-    Order in the file is preserved: the first party plays the role of the
-    positive direction in directed imbalance scores.
+    The file holds exactly two parties, in order: the first plays the role
+    of the positive direction in directed imbalance scores.
     """
     path = Path(path)
     try:
@@ -223,6 +223,8 @@ def load_party_lexicons(path: str | Path) -> list[PartyLexicon]:
             if owner != party_id:
                 raise ConfigError(f"phrase {phrase!r} appears in both {owner!r} and {party_id!r}")
         lexicons.append(PartyLexicon(party_id=party_id, phrases=tuple(phrases)))
+    if len(lexicons) != 2:
+        raise ConfigError(f"{path}: directed imbalance needs exactly 2 party lexicons, got {len(lexicons)}")
     return lexicons
 
 

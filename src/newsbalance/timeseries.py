@@ -20,14 +20,14 @@ once per pair.
 
 Clustering is implemented directly (rather than via a library) so that ties in
 the merge order can be broken lexicographically by leaf label, which makes
-dendrograms fully deterministic.
+dendrograms fully deterministic. This module writes no file: `cli` writes the
+distance matrix and the dendrograms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -41,7 +41,6 @@ __all__ = [
     "distance_matrix",
     "drop_missing",
     "z_normalize",
-    "write_distance_csv",
 ]
 
 _LINKAGES = ("average", "single", "complete")
@@ -219,13 +218,3 @@ def cluster(
         next_id += 1
 
     return merge_tree[active[0]]
-
-
-def write_distance_csv(
-    labels: Sequence[str], matrix: Sequence[Sequence[float]], path: str | Path
-) -> None:
-    """Write the distance matrix as CSV with a label header row/column."""
-    with Path(path).open("w", encoding="utf-8") as handle:
-        handle.write("," + ",".join(labels) + "\n")
-        for label, row in zip(labels, matrix):
-            handle.write(label + "," + ",".join(repr(v) for v in row) + "\n")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import copy
 import csv
 import dataclasses
@@ -127,7 +128,39 @@ class TestValidate:
         config = self._rewritten_config(synth_dir, tmp_path, gazetteer={"cities": None, "states": str(states)})
         assert main(["validate", "--config", str(config)]) == 1
         assert main(["geo", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
-        assert capsys.readouterr().err.count("has no word tokens: '!!!'") == 2
+        assert capsys.readouterr().err.count(f"config error: {states}:2: name '!!!' has no word tokens\n") == 2
+
+    @pytest.mark.parametrize(
+        "lexicons, message",
+        [
+            ({"bjp": ["BJP"], "congress": ["Congress"], "aap": ["AAP"]}, "exactly 2 party lexicons, got 3"),
+            ({"bjp": ["BJP"]}, "exactly 2 party lexicons, got 1"),
+            ({"bjp": ["Bharatiya Janata Party"], "congress": ["Congress"]}, "association set s1 is empty"),
+        ],
+        ids=["three", "one", "no-single-token"],
+    )
+    def test_party_setups_weat_rejects(self, tmp_path, synth_dir, capsys, lexicons, message):
+        path = tmp_path / "lexicons.json"
+        path.write_text(json.dumps(lexicons), encoding="utf-8")
+        config = self._rewritten_config(synth_dir, tmp_path, party_lexicons=str(path))
+        assert main(["validate", "--config", str(config)]) == 1
+        assert main(["weat", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.count(message) == 2
+
+    @pytest.mark.parametrize("outlet", ["../../k", "daily,alpha", "daily:alpha", "daily(alpha)", "-daily", ".daily"])
+    def test_unsafe_outlet_key_rejected(self, tmp_path, synth_dir, capsys, outlet):
+        """A config key names the skip report and every per-outlet artifact."""
+        corpus_path = tmp_path / "corpus.jsonl"
+        lines = (synth_dir / "corpus" / "daily-alpha.jsonl").read_text(encoding="utf-8")
+        corpus_path.write_text("not json\n" + lines, encoding="utf-8")
+        config = self._rewritten_config(synth_dir, tmp_path)
+        raw = json.loads(config.read_text())
+        raw["corpora"][outlet] = str(corpus_path)
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["validate", "--config", str(config)]) == 1
+        assert f"outlet {outlet!r} is not letters, digits" in capsys.readouterr().err
+        assert main(["metrics", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        assert sorted(p.name for p in tmp_path.rglob("*.jsonl")) == ["corpus.jsonl"]
 
     @pytest.mark.parametrize(
         "section, key, value",
@@ -336,6 +369,22 @@ class TestCommands:
         out = tmp_path / "solo"
         assert main(["geo", "--config", str(synth_dir / "config.json"), "--out", str(out)]) == 0
         assert not (out / "metrics").exists()
+
+    def test_unsafe_record_outlet_is_skipped(self, synth_dir, tmp_path):
+        """A record's outlet names files, so one that is not a safe name is skipped and reported."""
+        directory = tmp_path / "archive"
+        shutil.copytree(synth_dir / "corpus", directory / "corpus")
+        shutil.copy(synth_dir / "config.json", directory / "config.json")
+        path = directory / "corpus" / "daily-alpha.jsonl"
+        articles, _ = load_corpus(path)
+        write_corpus([dataclasses.replace(a, outlet="../../escaped") for a in articles], path)
+        out = directory / "out"
+        assert main(["metrics", "--config", str(directory / "config.json"), "--out", str(out)]) == 0
+        assert list(tmp_path.rglob("escaped*")) == []
+        assert {p.name.split("__")[0] for p in (out / "metrics").glob("*.csv")} == {"daily-beta", "daily-gamma"}
+        skips = [json.loads(line) for line in (out / "metrics" / "skips" / "daily-alpha.jsonl").open()]
+        assert len(skips) == len(articles)
+        assert {s["reason"] for s in skips} == {"outlet is not a safe name: '../../escaped'"}
 
 
 def _without_series(metrics_entry: dict) -> dict:
@@ -659,6 +708,81 @@ def test_contract_violation_is_an_internal_error(synth_dir, tmp_path, monkeypatc
     monkeypatch.setattr(geo, "homogeneity_inverse_std", broken)
     assert main(["geo", "--config", str(synth_dir / "config.json"), "--out", str(tmp_path / "out")]) == 3
     assert "internal error: broken contract" in capsys.readouterr().err
+
+
+def test_csv_artifacts_are_payload_tables(two_year_dir, tmp_path):
+    """Every CSV of the report tree is one dialect (LF, minimal quoting) and
+    holds its command's bundle rows, None read back as an empty cell.
+
+    One outlet has no articles in the archive's second month, so its series
+    have missing months."""
+    directory = tmp_path / "archive"
+    shutil.copytree(two_year_dir / "corpus", directory / "corpus")
+    shutil.copy(two_year_dir / "config.json", directory / "config.json")
+    path = directory / "corpus" / "daily-alpha.jsonl"
+    articles, _ = load_corpus(path)
+    second = sorted({(a.published.year, a.published.month) for a in articles})[1]
+    write_corpus([a for a in articles if (a.published.year, a.published.month) != second], path)
+    out = tmp_path / "out"
+    assert main(["report", "--config", str(directory / "config.json"), "--out", str(out)]) == 0
+    texts = [p for p in out.rglob("*") if p.suffix in (".csv", ".json", ".jsonl", ".newick")]
+    assert {p.suffix for p in texts} == {".csv", ".json", ".newick"}
+    assert [p for p in texts if b"\r" in p.read_bytes()] == []
+
+    tables = {}
+    for path in out.rglob("*.csv"):
+        with path.open(newline="", encoding="utf-8") as handle:
+            header, *rows = csv.reader(handle)
+        assert {len(row) for row in rows} == {len(header)}, path
+        tables[path.relative_to(out).as_posix()] = [header, *rows]
+    assert len(tables) == 27
+
+    def cells(rows):
+        return [["" if v is None else str(v) for v in row] for row in rows]
+
+    bundle = json.loads((out / "report" / "bundle.json").read_text())["commands"]
+    expected = {}
+    for outlet, by_metric in bundle["metrics"].items():
+        for metric_name, entry in by_metric.items():
+            header = ["month", "score_b", "score_c", "imbalance"]
+            expected[f"metrics/{outlet}__{metric_name}.csv"] = [header, *cells(entry["series"])]
+    clusters = bundle["cluster"]
+    expected["cluster/distance_matrix.csv"] = [
+        ["", *clusters["labels"]],
+        *cells([label, *row] for label, row in zip(clusters["labels"], clusters["distance_matrix"])),
+    ]
+    expected["geo/trends_state.csv"] = [
+        ["outlet", "year", "inverse_std", "bottom20_pct", "bottom50_pct"],
+        *cells([outlet, *row] for outlet, rows in bundle["geo"]["trends"].items() for row in rows),
+    ]
+    expected["probe/popularity.csv"] = [
+        ["outlet", "year", "p_BJP", "p_Congress"],
+        *cells([outlet, *row] for outlet, entry in bundle["probe"].items() for row in entry["popularity"]),
+    ]
+    expected["weat/popularity.csv"] = [
+        ["outlet", "year", "group1", "group2", "weat_score"],
+        *cells(
+            [outlet, year, g1, g2, entry["weat_scores"][str(year)]]
+            for outlet, entry in bundle["weat"].items()
+            for year, g1, g2 in zip(entry["years"], entry["group1"], entry["group2"])
+        ),
+    ]
+    assert {name: tables[name] for name in expected} == expected
+    assert [row[3] for row in expected["metrics/daily-alpha__cov_head.csv"][1:]].count("") == 1
+    assert sorted(set(tables) - set(expected)) == ["geo/coverage_city.csv", "geo/coverage_state.csv"]
+
+
+def test_only_the_cli_imports_csv():
+    """The CSV dialect is the CLI's: no other package module writes or reads CSV."""
+    importers = []
+    for path in sorted((REPO_ROOT / "src" / "newsbalance").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = [alias.name for alias in node.names] if isinstance(node, ast.Import) else []
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            if "csv" in names:
+                importers.append(path.name)
+    assert importers == ["cli.py"]
 
 
 def test_importing_the_cli_loads_no_network_client():

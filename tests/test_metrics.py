@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import csv
 import dataclasses
 import datetime as dt
 import struct
@@ -24,7 +23,6 @@ from newsbalance.metrics import (
     imbalance,
     month_span,
     score_document,
-    write_series_csv,
 )
 from newsbalance.nlp import ValenceLexicon
 from newsbalance.tagging import CONTENT, HEADLINE, MonthlyDocument, build_matcher, build_monthly_documents
@@ -324,11 +322,6 @@ class TestComputeSeries:
         with pytest.raises(ConfigError):
             series_for([], MetricId.COV_HEAD, suite)
 
-    def test_requires_exactly_two_lexicons(self, lexicons, suite):
-        one = dataclasses.replace(suite, lexicons=lexicons[:1], matcher=build_matcher(lexicons[:1]))
-        with pytest.raises(ConfigError):
-            series_for([make_article()], MetricId.COV_HEAD, one)
-
     @settings(max_examples=40, deadline=None)
     @given(st.lists(fold_articles, min_size=1, max_size=30))
     def test_yearly_partitions_equal_one_partition_per_outlet(self, suite, articles):
@@ -430,17 +423,3 @@ def test_month_span_contiguous():
     ]
     span = month_span(articles)
     assert [str(m) for m in span] == ["2010-11", "2010-12", "2011-01", "2011-02"]
-
-
-def test_series_csv_round_trips_missing(tmp_path, lexicons, suite):
-    articles = [
-        make_article(id="a1", published="2010-01-10", headline="BJP speaks", content="x"),
-        make_article(id="a2", published="2010-02-10", headline="No party here", content="x"),
-    ]
-    series = series_for(articles, MetricId.COV_HEAD, suite)["daily-alpha"]
-    path = tmp_path / "series.csv"
-    write_series_csv(series, path)
-    with path.open() as handle:
-        rows = list(csv.DictReader(handle))
-    assert rows[0]["month"] == "2010-01" and rows[0]["imbalance"] == "1.0"
-    assert rows[1]["imbalance"] == ""

@@ -69,6 +69,13 @@ class TestLexiconLoading:
         with pytest.raises(ConfigError):
             load_party_lexicons(path)
 
+    def test_requires_exactly_two_lexicons(self, tmp_path):
+        path = tmp_path / "lex.json"
+        for raw in ('{"a": ["X"]}', '{"a": ["X"], "b": ["Y"], "c": ["Z"]}'):
+            path.write_text(raw, encoding="utf-8")
+            with pytest.raises(ConfigError, match="exactly 2 party lexicons"):
+                load_party_lexicons(path)
+
     def test_empty_phrases_rejected(self):
         with pytest.raises(ConfigError):
             PartyLexicon(party_id="a", phrases=())

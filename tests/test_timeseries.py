@@ -16,7 +16,6 @@ from newsbalance.timeseries import (
     distance_matrix,
     drop_missing,
     dtw_distance,
-    write_distance_csv,
     z_normalize,
 )
 
@@ -284,14 +283,10 @@ def _heights_monotone(node) -> bool:
     )
 
 
-def test_distance_matrix_and_csv(tmp_path):
+def test_distance_matrix_sorts_labels():
     labels, matrix = distance_matrix({"b": [1.0], "a": [0.0], "c": [3.0]})
     assert labels == ["a", "b", "c"]
     assert matrix[0][1] == 1.0 and matrix[1][2] == 2.0
-    path = tmp_path / "d.csv"
-    write_distance_csv(labels, matrix, path)
-    header = path.read_text().splitlines()[0]
-    assert header == ",a,b,c"
 
 
 def test_drop_missing_and_znormalize():
