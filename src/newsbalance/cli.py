@@ -37,8 +37,6 @@ from itertools import groupby
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
 from . import __version__
 from .config import RunConfig
 from .corpus import Article, ArticleUnits, SkipRecord, article_units, load_corpus, partition, write_skip_report
@@ -102,6 +100,11 @@ def _association_sets(cfg: RunConfig, lexicons) -> AssociationSets:
     """WEAT's sets: each party's single-token phrases, lowercased for
     embedding lookups, and the configured attribute words."""
     s1, s2 = (tuple(sorted({p.lower() for p in lex.phrases if len(p.split()) == 1})) for lex in lexicons)
+    for name, lex, words in (("s1", lexicons[0], s1), ("s2", lexicons[1], s2)):
+        if not words:
+            source = cfg.party_lexicons or "the bundled lexicons"
+            raise ConfigError(f"association set {name} is empty: party {lex.party_id!r} in {source} "
+                              "has no single-token phrase")
     return AssociationSets(s1=s1, s2=s2, a1=cfg.weat.attributes_positive, a2=cfg.weat.attributes_negative)
 
 
@@ -109,10 +112,6 @@ def _sgns_worker_count(outlets: int) -> int:
     """Workers for all but one outlet, one per CPU this process may run on beyond its own."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     return min(cpus, outlets) - 1
-
-
-def _embedding_seed(base_seed: int, outlet_index: int, year: int) -> int:
-    return int(np.random.SeedSequence([base_seed, outlet_index, year]).generate_state(1)[0])
 
 
 def _outlet_years(partitions: dict[tuple[str, int], tuple]):
@@ -211,8 +210,7 @@ class RunContext:
         for outlet, years in by_outlet:
             if len(years) < 2:
                 raise DataError(f"outlet {outlet}: popularity timeline needs >= 2 years")
-        cfg = self.cfg
-        embedding = cfg.embedding
+        embedding = self.cfg.embedding
         params = SgnsParams(
             dim=embedding.dim,
             window=embedding.window,
@@ -221,16 +219,7 @@ class RunContext:
             min_count=embedding.min_count,
             subsample=embedding.subsample,
         )
-        jobs = [
-            SgnsJob(
-                outlet,
-                tuple(
-                    (year, _embedding_seed(cfg.seed, index, year), articles) for year, articles in years
-                ),
-                params,
-            )
-            for index, (outlet, years) in enumerate(by_outlet)
-        ]
+        jobs = [SgnsJob(outlet, self.cfg.seed, tuple(years), params) for outlet, years in by_outlet]
         workers = _sgns_worker_count(len(jobs))
         if workers > 0:
             self._workers = SgnsWorkers([jobs[1 + i :: workers] for i in range(workers)])
@@ -531,6 +520,7 @@ def cmd_probe(ctx: RunContext, out_base: Path) -> dict:
 
 
 def cmd_report(ctx: RunContext, out_base: Path) -> dict:
+    _association_sets(ctx.cfg, ctx.lexicons)  # a bad WEAT setup fails before anything trains or is written
     directory = _command_dir(out_base, "report")
     provenance = _provenance(ctx.cfg, "report")
     # SGNS training is the run's memory peak, so this process trains its share

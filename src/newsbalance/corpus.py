@@ -50,6 +50,9 @@ _OUTLET_NAME_RE = re.compile(r"[^\W_][\w.-]*")
 # apostrophes/hyphens ("Congress-led", "don't"). Case is preserved.
 _TOKEN_RE = re.compile(r"[^\W_]+(?:['’\-][^\W_]+)*")
 
+# A byte that `errors="surrogateescape"` could not decode as UTF-8.
+_ESCAPED_BYTE_RE = re.compile("[\udc80-\udcff]")
+
 # Candidate sentence boundary: terminal punctuation, optional closing
 # quote/bracket, whitespace, then an optional opening quote and a capital.
 _BOUNDARY_RE = re.compile(r"[.!?]+[\"'’”)\]]*\s+[\"'‘“(\[]*[A-Z]")
@@ -191,12 +194,14 @@ def month_key(date: dt.date) -> MonthKey:
 def iter_corpus(path: str | Path, skips: list[SkipRecord] | None = None) -> Iterator[Article]:
     """Yield articles from a JSONL file in file order.
 
-    Malformed records are appended to `skips` (when given) and skipped; only
-    an unreadable file aborts the stream.
+    Malformed records, a line that is not UTF-8 among them, are appended to
+    `skips` (when given) and skipped; only an unreadable file aborts the
+    stream.
     """
     path = Path(path)
     try:
-        handle = path.open("r", encoding="utf-8")
+        # An undecodable byte becomes a lone surrogate that `_parse_record` rejects.
+        handle = path.open("r", encoding="utf-8", errors="surrogateescape")
     except OSError as exc:
         raise DataError(f"cannot read corpus file {path}: {exc}") from exc
     seen_ids: set[str] = set()
@@ -223,6 +228,8 @@ def load_corpus(path: str | Path) -> tuple[list[Article], list[SkipRecord]]:
 
 
 def _parse_record(line: str) -> tuple[Article | None, str]:
+    if _ESCAPED_BYTE_RE.search(line):
+        return None, "invalid UTF-8"
     try:
         record = json.loads(line)
     except json.JSONDecodeError as exc:

@@ -25,10 +25,11 @@ Beside its sentences, a year's training holds, at most:
   gradient product and the flat indices are held one scatter block at a
   time.
 
-To keep the draws of the generator, every epoch's pairs are first drawn and
-dropped, which counts them for the learning-rate decay and leaves the
-generator where the vector draw reads it. Training then draws each epoch
-again from a copy of the generator taken at that epoch's start.
+One generator draws, in order, the initial vectors, then each epoch's pairs
+just before that epoch trains on them, and each chunk's negatives. The
+learning rate decays linearly with training progress, the epochs done plus
+the share of the current epoch's pairs done, as word2vec decays it, so no
+pass counts the pairs in advance.
 
 Alignment is orthogonal Procrustes over the most frequent shared tokens; an
 identity mode is available for pipelines that assume already-shared axes.
@@ -36,7 +37,6 @@ identity mode is available for pipelines that assume already-shared axes.
 
 from __future__ import annotations
 
-import copy
 import logging
 import struct
 from dataclasses import dataclass, field, replace
@@ -344,34 +344,24 @@ def train_sgns(
     noise_cdf = np.cumsum(noise / noise.sum())
     noise_cdf[-1] = 1.0  # guard the top bucket against cumsum rounding
 
-    # Draw every epoch's pairs once, to count them and to leave the generator
-    # where the vector draw below reads it; keep a copy of the generator at
-    # each epoch's start, from which training draws that epoch again.
-    epoch_rngs = []
-    total_pairs = 0
-    for _ in range(params.epochs):
-        epoch_rngs.append(copy.deepcopy(rng))
-        total_pairs += _epoch_pairs(tokens, sentence_ids, keep_prob, params.window, rng)[0].shape[0]
-    if total_pairs == 0:
-        raise DataError("no training pairs generated; corpus may be too sparse")
-
     vocab_size = len(vocab)
     w_in = ((rng.random((vocab_size, params.dim)) - 0.5) / params.dim).astype(np.float32)
     w_out = np.zeros((vocab_size, params.dim), dtype=np.float32)
     step = _ChunkStep(w_in, w_out, noise_cdf, params)
 
-    done = 0
-    for epoch_rng in epoch_rngs:
-        centers, contexts = _epoch_pairs(tokens, sentence_ids, keep_prob, params.window, epoch_rng)
-        for start in range(0, centers.shape[0], params.chunk_pairs):
-            lr = max(
-                params.min_learning_rate,
-                params.learning_rate * (1.0 - done / total_pairs),
-            )
-            stop = min(start + params.chunk_pairs, centers.shape[0])
+    total_pairs = 0
+    for epoch in range(params.epochs):
+        centers, contexts = _epoch_pairs(tokens, sentence_ids, keep_prob, params.window, rng)
+        epoch_pairs = centers.shape[0]
+        for start in range(0, epoch_pairs, params.chunk_pairs):
+            progress = (epoch + start / epoch_pairs) / params.epochs
+            lr = max(params.min_learning_rate, params.learning_rate * (1.0 - progress))
+            stop = start + params.chunk_pairs
             step(centers[start:stop], contexts[start:stop], lr, rng)
-            done += stop - start
+        total_pairs += epoch_pairs
         del centers, contexts  # so that the next epoch's pairs are not built beside these
+    if total_pairs == 0:
+        raise DataError("no training pairs generated; corpus may be too sparse")
 
     return EmbeddingSpace(year=year, dim=params.dim, vocab=vocab, vectors=w_in, pairs=total_pairs)
 
@@ -461,19 +451,14 @@ def weat_score(sets: AssociationSets, space: EmbeddingSpace) -> float:
     (mean g over s1 - mean g over s2) / population SD of g over s1 and s2.
     A zero spread means the score is undefined and raises.
     """
-    g1 = [
-        differential_association(t, sets.a1, sets.a2, space)
-        for t in sets.s1
-        if t in space.vocab
-    ]
-    g2 = [
-        differential_association(t, sets.a1, sets.a2, space)
-        for t in sets.s2
-        if t in space.vocab
-    ]
+    g1, g2 = (
+        [differential_association(t, sets.a1, sets.a2, space) for t in group if t in space.vocab]
+        for group in (sets.s1, sets.s2)
+    )
     if not g1 or not g2:
         raise VocabularyError("each target set needs at least one in-vocabulary word")
-    pooled = np.array(g1 + g2, dtype=np.float64)
+    # Sorted, so that swapping s1 and s2 negates the score bit for bit.
+    pooled = np.sort(np.array(g1 + g2, dtype=np.float64))
     spread = float(pooled.std())
     if spread == 0.0:
         raise DegenerateScoreError("differential associations have zero spread")
@@ -536,13 +521,16 @@ def popularity_timeline(
 
 
 def save_binary(space: EmbeddingSpace, path: str | Path) -> None:
-    """Persist as header + vocab + little-endian float32 rows."""
-    tokens = space.tokens_by_rank()
+    """Persist as header + vocab + little-endian float32 rows; a token longer
+    than the 16-bit length field raises `DataError` before the file opens."""
+    encoded = [token.encode("utf-8") for token in space.tokens_by_rank()]
+    longest = max(map(len, encoded), default=0)
+    if longest > 0xFFFF:
+        raise DataError(f"year-{space.year} vocabulary holds a token of {longest} UTF-8 bytes, above 65535")
     with Path(path).open("wb") as handle:
         handle.write(_MAGIC)
-        handle.write(struct.pack("<IiiI", _FORMAT_VERSION, space.year, space.dim, len(tokens)))
-        for token in tokens:
-            raw = token.encode("utf-8")
+        handle.write(struct.pack("<IiiI", _FORMAT_VERSION, space.year, space.dim, len(encoded)))
+        for raw in encoded:
             handle.write(struct.pack("<H", len(raw)))
             handle.write(raw)
         handle.write(np.ascontiguousarray(space.vectors, dtype="<f4").tobytes())

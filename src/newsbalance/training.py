@@ -1,12 +1,14 @@
 """One outlet's yearly SGNS models as a job, trained here or in a worker process.
 
-A job carries one outlet's articles grouped by year, each year's seed and the
-training parameters. `train_outlet` lowercases the tokens of a year's units
-(`corpus.article_units`) and trains its model with `embeddings.train_sgns`, so
-a model is bitwise the same whichever process runs its job. The process that
-starts the workers trains from the units it keeps for its other commands; a
-worker splits its own articles, one year at a time, just before the year
-trains.
+A job carries one outlet's articles grouped by year, the run's base seed and
+the training parameters. `train_outlet` seeds each year with `year_seed` from
+the base seed, the outlet's name and the year, so an outlet's models do not
+depend on which other outlets the run holds. It lowercases the tokens of a
+year's units (`corpus.article_units`) and trains its model with
+`embeddings.train_sgns`, so a model is bitwise the same whichever process runs
+its job. The process that starts the workers trains from the units it keeps
+for its other commands; a worker splits its own articles, one year at a time,
+just before the year trains.
 
 `SgnsWorkers` runs shares of the jobs in worker processes. A worker is a fresh
 interpreter that reads its share as a pickle on stdin and writes its results
@@ -29,11 +31,13 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .corpus import Article, ArticleUnits, article_units
 from .embeddings import EmbeddingSpace, SgnsParams, train_sgns
 from .errors import NewsbalanceError
 
-__all__ = ["SgnsJob", "SgnsResult", "SgnsWorkers", "SgnsYear", "train_outlet"]
+__all__ = ["SgnsJob", "SgnsResult", "SgnsWorkers", "SgnsYear", "train_outlet", "year_seed"]
 
 # The package's parent directory goes first on the worker's import path,
 # ahead of its working directory, so the worker imports this very package.
@@ -42,12 +46,20 @@ _PACKAGE_ROOT = str(Path(__file__).resolve().parent.parent)
 _WORKER_CODE = "import sys; sys.path.insert(0, sys.argv[1]); from newsbalance.training import serve; serve()"
 
 
+def year_seed(base_seed: int, outlet: str, year: int) -> int:
+    """One outlet's yearly seed, from the base seed, the year and each byte of the
+    outlet's UTF-8 name. No hash module is imported: OpenSSL's would raise a
+    worker's peak memory by several MB."""
+    return int(np.random.SeedSequence([base_seed, year, *outlet.encode("utf-8")]).generate_state(1)[0])
+
+
 @dataclass(frozen=True)
 class SgnsJob:
-    """One outlet's years to train: (year, seed, articles) in year order."""
+    """One outlet's years to train, (year, articles) in year order, and the run's base seed."""
 
     outlet: str
-    years: tuple[tuple[int, int, tuple[Article, ...]], ...]
+    seed: int
+    years: tuple[tuple[int, tuple[Article, ...]], ...]
     params: SgnsParams
 
 
@@ -98,11 +110,11 @@ def train_outlet(job: SgnsJob, units: Callable[[int, tuple[Article, ...]], Seque
     spaces = []
     years = []
     lowered: dict[str, str] = {}
-    for year, seed, articles in job.years:
+    for year, articles in job.years:
         start = time.perf_counter()
         sentences = _year_sentences(units(year, articles), lowered)
         tokens = sum(len(s) for s in sentences)
-        space = train_sgns(sentences, replace(job.params, seed=seed), year=year)
+        space = train_sgns(sentences, replace(job.params, seed=year_seed(job.seed, job.outlet, year)), year=year)
         del sentences  # so that the next year's sentences are not built beside these
         spaces.append(space)
         years.append(SgnsYear(year, tokens, len(space.vocab), space.pairs, time.perf_counter() - start))

@@ -391,11 +391,14 @@ def _reference_epoch_pairs(
 def reference_train_sgns(
     sentences: Sequence[Sequence[str]], params: SgnsParams, year: int = 0
 ) -> tuple[EmbeddingSpace, int]:
-    """`embeddings.train_sgns` as it was before it held one epoch's pairs at a time.
+    """`embeddings.train_sgns` before its int32 pairs and chunk buffers.
 
-    Every epoch's int64 pairs are built up front, and each chunk's gradients
-    are scattered with `np.add.at` into the 2-D tables, row by row. Returns
-    the space and the number of training pairs over all epochs.
+    The generator draws the initial vectors, then each epoch's pairs before
+    that epoch trains, and the learning rate decays with the epochs done plus
+    the share of the current epoch done, as in the trainer. The pairs are
+    int64, each chunk is whole-array expressions, and its gradients are
+    scattered with `np.add.at` into the 2-D tables, row by row. Returns the
+    space and the number of training pairs over all epochs.
     """
     sentences = list(sentences)
     if not sentences:
@@ -416,26 +419,20 @@ def reference_train_sgns(
     noise_cdf = np.cumsum(noise / noise.sum())
     noise_cdf[-1] = 1.0
 
-    epochs_pairs = [
-        _reference_epoch_pairs(tokens, sentence_ids, keep_prob, params.window, rng)
-        for _ in range(params.epochs)
-    ]
-    total_pairs = sum(c.shape[0] for c, _ in epochs_pairs)
-    if total_pairs == 0:
-        raise DataError("no training pairs generated; corpus may be too sparse")
-
     vocab_size = len(vocab)
     w_in = ((rng.random((vocab_size, params.dim)) - 0.5) / params.dim).astype(np.float32)
     w_out = np.zeros((vocab_size, params.dim), dtype=np.float32)
 
-    done = 0
-    for centers, contexts in epochs_pairs:
+    total_pairs = 0
+    for epoch in range(params.epochs):
+        centers, contexts = _reference_epoch_pairs(tokens, sentence_ids, keep_prob, params.window, rng)
+        total_pairs += centers.shape[0]
         for start in range(0, centers.shape[0], params.chunk_pairs):
             c = centers[start : start + params.chunk_pairs]
             o = contexts[start : start + params.chunk_pairs]
             lr = max(
                 params.min_learning_rate,
-                params.learning_rate * (1.0 - done / total_pairs),
+                params.learning_rate * (1.0 - (epoch + start / centers.shape[0]) / params.epochs),
             )
             negatives = np.searchsorted(
                 noise_cdf, rng.random((c.shape[0], params.negatives))
@@ -455,6 +452,7 @@ def reference_train_sgns(
             grad_out = grad[:, :, None] * h[:, None, :]
             np.add.at(w_in, c, grad_h)
             np.add.at(w_out, targets.reshape(-1), grad_out.reshape(-1, params.dim))
-            done += c.shape[0]
+    if total_pairs == 0:
+        raise DataError("no training pairs generated; corpus may be too sparse")
 
     return EmbeddingSpace(year=year, dim=params.dim, vocab=vocab, vectors=w_in), total_pairs

@@ -387,6 +387,59 @@ class TestCommands:
         assert {s["reason"] for s in skips} == {"outlet is not a safe name: '../../escaped'"}
 
 
+def test_corpus_line_not_utf8_is_skipped(synth_dir, tmp_path):
+    """A line that is not UTF-8 is a skipped record, and later lines keep their numbers."""
+    directory = tmp_path / "archive"
+    shutil.copytree(synth_dir / "corpus", directory / "corpus")
+    shutil.copy(synth_dir / "config.json", directory / "config.json")
+    path = directory / "corpus" / "daily-alpha.jsonl"
+    lines = len(path.read_bytes().splitlines())
+    with path.open("ab") as handle:
+        handle.write(b"\xff\xfe bad line\n{not json\n")
+    out = directory / "out"
+    assert main(["metrics", "--config", str(directory / "config.json"), "--out", str(out)]) == 0
+    skips = [json.loads(line) for line in (out / "metrics" / "skips" / "daily-alpha.jsonl").open()]
+    assert [s["line"] for s in skips] == [lines + 1, lines + 2]
+    assert skips[0]["reason"] == "invalid UTF-8" and skips[1]["reason"].startswith("invalid JSON")
+
+
+def test_report_fails_on_a_bad_weat_setup_before_anything_runs(two_year_dir, tmp_path, capsys):
+    lexicons = tmp_path / "lexicons.json"
+    lexicons.write_text(json.dumps({"bjp": ["Bharatiya Janata Party"], "congress": ["Congress"]}), encoding="utf-8")
+    raw = json.loads((two_year_dir / "config.json").read_text())
+    raw["corpora"] = {k: str(two_year_dir / v) for k, v in raw["corpora"].items()}
+    raw["party_lexicons"] = str(lexicons)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["report", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: association set s1 is empty: party 'bjp' in {lexicons} has no single-token phrase\n"
+    )
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+def test_overlong_token_is_a_data_error(two_year_dir, tmp_path, capsys):
+    """A token too long for the embedding file fails `weat` with exit 2, and leaves no model file."""
+    raw = json.loads((two_year_dir / "config.json").read_text())
+    raw["corpora"] = {k: str(two_year_dir / v) for k, v in raw["corpora"].items()}
+    articles, _ = load_corpus(raw["corpora"]["daily-alpha"])
+    word = "a" * 70_000
+    articles[:20] = [dataclasses.replace(a, content=f"{a.content} {word} and {word}.") for a in articles[:20]]
+    assert {a.published.year for a in articles[:20]} == {2010}
+    raw["corpora"]["daily-alpha"] = str(tmp_path / "daily-alpha.jsonl")
+    write_corpus(articles, raw["corpora"]["daily-alpha"])
+    raw["embedding"].update(dim=8, epochs=1)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["weat", "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "data error: year-2010 vocabulary holds a token of 70000 UTF-8 bytes"
+    )
+    assert not (out / "weat" / "daily-alpha_2010.nbe").exists()
+
+
 def _without_series(metrics_entry: dict) -> dict:
     return {
         outlet: {m: {k: v for k, v in entry.items() if k != "series"} for m, entry in by_metric.items()}

@@ -163,8 +163,8 @@ def assert_equals_reference(sentences, params):
 
 
 class TestTrainSgnsOracle:
-    """`train_sgns` against the frozen trainer that built every epoch's pairs up
-    front and scattered each chunk's gradients row by row, bit for bit."""
+    """`train_sgns` against the trainer with int64 pairs, whole-chunk
+    expressions and row-by-row gradient scatters, bit for bit."""
 
     @pytest.mark.parametrize("chunk_pairs", [512, 2048])
     def test_training_equals_row_scatter(self, chunk_pairs):
@@ -387,6 +387,16 @@ class TestWeatScore:
             assert weat_score(swapped_s, space) == pytest.approx(-base, abs=1e-9)
             assert weat_score(swapped_a, space) == pytest.approx(-base, abs=1e-9)
 
+    def test_target_swap_negates_exactly(self):
+        """Swapping s1 and s2 negates the score bit for bit, also for sets of unequal size."""
+        rng = np.random.default_rng(9)
+        tokens = ["p1", "p2", "p3", "q1", "q2", "x1", "x2", "x3"]
+        sets = AssociationSets(s1=("p1", "p2", "p3"), s2=("q1", "q2"), a1=("x1", "x2"), a2=("x3",))
+        swapped = AssociationSets(s1=sets.s2, s2=sets.s1, a1=sets.a1, a2=sets.a2)
+        for _ in range(200):
+            space = space_from_rows(rng.normal(size=(8, 5)), tokens=tokens)
+            assert repr(weat_score(swapped, space)) == repr(0.0 - weat_score(sets, space))
+
     def test_overlapping_attribute_sets_rejected(self):
         with pytest.raises(ConfigError):
             AssociationSets(s1=("a",), s2=("b",), a1=("x",), a2=("x",))
@@ -496,6 +506,20 @@ class TestPersistence:
         assert loaded.year == space.year and loaded.dim == space.dim
         assert loaded.vocab == space.vocab
         assert np.array_equal(loaded.vectors, space.vectors.astype(np.float32))
+
+    def test_token_length_is_checked_before_the_file_opens(self, tmp_path):
+        """A token's UTF-8 length is a 16-bit field: 65,535 bytes round-trip, one more is a data error."""
+        longest = "é" * 32767 + "a"  # 65,535 bytes
+        space = space_from_rows(np.eye(2), tokens=[longest, "b"], year=2011)
+        path = tmp_path / "longest.nbe"
+        save_binary(space, path)
+        assert load_binary(path).vocab == space.vocab
+
+        space = space_from_rows(np.eye(2), tokens=["b", longest + "a"], year=2011)
+        path = tmp_path / "too-long.nbe"
+        with pytest.raises(DataError, match="^year-2011 vocabulary holds a token of 65536 UTF-8 bytes"):
+            save_binary(space, path)
+        assert not path.exists()
 
     def test_binary_rejects_other_files(self, tmp_path):
         path = tmp_path / "noise.bin"

@@ -17,11 +17,11 @@ import numpy as np
 import pytest
 
 from newsbalance import cli, training
-from newsbalance.cli import RunContext, _embedding_seed, cmd_weat, main
+from newsbalance.cli import RunContext, cmd_weat, main
 from newsbalance.config import RunConfig
 from newsbalance.corpus import article_units, load_corpus, partition, write_corpus
 from newsbalance.embeddings import SgnsParams, save_binary, train_sgns
-from newsbalance.training import SgnsJob, SgnsYear
+from newsbalance.training import SgnsJob, SgnsYear, year_seed
 from oracles import reference_train_sgns
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -107,12 +107,12 @@ def test_result_records_what_each_year_trained_on(archive):
     """Tokens, vocabulary size and pairs per year, against the trainer oracle's counts."""
     outlet, years = _outlet_years(archive)
     params = SgnsParams(dim=8, window=3, negatives=3, epochs=2, min_count=2, subsample=1e-3)
-    job = SgnsJob(outlet, tuple((year, 40 + year, articles) for year, articles in years), params)
+    job = SgnsJob(outlet, 40, years, params)
     result = training.train_outlet(job, lambda year, articles: article_units(articles))
     assert result.outlet == outlet and len(result.years) == len(years) == 2
-    for (year, seed, articles), space, trained in zip(job.years, result.spaces, result.years):
+    for (year, articles), space, trained in zip(job.years, result.spaces, result.years):
         sentences = _lowered_sentences(articles)
-        expected, pairs = reference_train_sgns(sentences, replace(params, seed=seed), year=year)
+        expected, pairs = reference_train_sgns(sentences, replace(params, seed=year_seed(40, outlet, year)), year=year)
         assert trained == SgnsYear(year, sum(len(s) for s in sentences), len(expected.vocab), pairs, trained.seconds)
         assert trained.seconds > 0 and pairs > 0
         np.testing.assert_array_equal(space.vectors.view(np.uint32), expected.vectors.view(np.uint32))
@@ -131,7 +131,7 @@ def test_nbe_bytes_equal_inline_training(archive, tmp_path, monkeypatch, workers
     outlets = sorted(cfg.corpora)
     written = sorted(p.name for p in (tmp_path / "out" / "weat").glob("*.nbe"))
     assert written == [f"{outlet}_{year}.nbe" for outlet in outlets for year in (2010, 2011)]
-    for index, outlet in enumerate(outlets):
+    for outlet in outlets:
         articles, _ = load_corpus(archive / cfg.corpora[outlet])
         # A partition's order, which makes the models independent of record order.
         articles.sort(key=lambda a: (a.published, a.id, a.headline, a.content))
@@ -139,7 +139,7 @@ def test_nbe_bytes_equal_inline_training(archive, tmp_path, monkeypatch, workers
             sentences = _lowered_sentences(a for a in articles if a.published.year == year)
             params = SgnsParams(
                 dim=e.dim, window=e.window, negatives=e.negatives, epochs=e.epochs,
-                min_count=e.min_count, subsample=e.subsample, seed=_embedding_seed(cfg.seed, index, year),
+                min_count=e.min_count, subsample=e.subsample, seed=year_seed(cfg.seed, outlet, year),
             )
             expected = tmp_path / "expected.nbe"
             save_binary(train_sgns(sentences, params, year=year), expected)
@@ -245,7 +245,7 @@ year = tuple(a for a in articles if a.published.year == 2010)
 params = SgnsParams(dim=e.dim, window=e.window, negatives=e.negatives, epochs=e.epochs,
                     min_count=e.min_count, subsample=e.subsample)
 # About 0.1 s a year on a 2-core VM, so the share alone would train for about a minute.
-job = SgnsJob("daily-alpha", tuple((2010 + i, i, year) for i in range(600)), params)
+job = SgnsJob("daily-alpha", 0, tuple((2010 + i, year) for i in range(600)), params)
 workers = SgnsWorkers([[job]])
 print(workers._running[0][0].pid, flush=True)
 time.sleep(1)
