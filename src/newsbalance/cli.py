@@ -291,8 +291,13 @@ def _write_csv(path: Path, header: Sequence, rows) -> None:
 
 
 def _command_dir(out_base: Path, name: str) -> Path:
+    """`out_base`/`name`, made if missing; raises `ConfigError` naming the path
+    when it cannot be made, as when `out_base` is a regular file."""
     directory = out_base / name
-    directory.mkdir(parents=True, exist_ok=True)
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {directory}: {exc.strerror}") from exc
     return directory
 
 

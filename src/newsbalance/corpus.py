@@ -234,6 +234,10 @@ def _parse_record(line: str) -> tuple[Article | None, str]:
         record = json.loads(line)
     except json.JSONDecodeError as exc:
         return None, f"invalid JSON: {exc.msg}"
+    except RecursionError:
+        return None, "invalid JSON: nesting too deep"
+    except ValueError:  # an integer literal over Python's digit limit
+        return None, "invalid JSON: integer too long"
     if not isinstance(record, dict):
         return None, "record is not a JSON object"
     for name in _ARTICLE_FIELDS:

@@ -6,12 +6,13 @@ optional frequent-word subsampling, and dynamic context windows. Updates are
 applied in fixed-size chunks, so a fixed seed yields bitwise-identical
 vectors run over run.
 
-Each chunk's gradients are scattered into the flat vector tables at
-``row * dim + column``, a block of rows at a time, because numpy's fast
-``ufunc.at`` path takes 1-D operands only. Every element still receives the
-same float32 additions in the same order as a row scatter into the 2-D table
-(chunk rows in order, the blocks in order), so the vectors are bitwise equal
-to that scatter's.
+Each chunk's gradients are scattered into the vector tables one column at a
+time, because numpy's fast ``ufunc.at`` path takes 1-D operands only. Every
+element still receives the same float32 additions in the same order as a
+row scatter into the 2-D table (chunk rows in order), so the vectors are
+bitwise equal to that scatter's. A chunk's negatives are read from a table
+of noise ids over equal bins of [0, 1), which gives `searchsorted`'s id for
+every draw (see `_ChunkStep`).
 
 Beside its sentences, a year's training holds, at most:
 
@@ -19,11 +20,13 @@ Beside its sentences, a year's training holds, at most:
 - one epoch's (center, context) pairs, int32, and, while that epoch is
   drawn, its int64 permutation;
 - the two vocabulary x dim float32 tables;
+- the negatives' bin table, 2^16 int32 ids (256 KB);
 - one chunk's buffers, made once per model. The largest is the chunk's
   gathered out-table rows, chunk_pairs x (negatives + 1) x dim float32
   (9.8 MB at the default chunk, 5 negatives and dim 100). The out-table's
-  gradient product and the flat indices are held one scatter block at a
-  time.
+  gradient product is held one column at a time, chunk_pairs x (negatives
+  + 1) float32. The scatter makes no index buffer: each column's
+  ``ufunc.at`` takes the chunk's row ids, as intp.
 
 One generator draws, in order, the initial vectors, then each epoch's pairs
 just before that epoch trains on them, and each chunk's negatives. The
@@ -39,7 +42,9 @@ from __future__ import annotations
 
 import logging
 import struct
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -74,11 +79,9 @@ logger = logging.getLogger(__name__)
 _MAGIC = b"NBEM"
 _FORMAT_VERSION = 1
 
-# Table rows per scatter block: `_scatter_add` writes the flat indices of this
-# many rows at a time, and training makes the out-table's gradient product
-# for this many rows of a chunk (24,576 at the default chunk and 5
-# negatives) at a time, so neither exists for the whole chunk.
-_SCATTER_BLOCK_ROWS = 4096
+# Equal bins of [0, 1) in the negatives' draw table; a power of two, so that
+# a draw's bin is exact.
+_DRAW_BINS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -162,14 +165,16 @@ def _encode(
     """The vocabulary in (-count, token) order, its counts as float64, and the
     id and sentence index of every in-vocabulary token, as int32.
 
-    Tokens get provisional ids in order of first occurrence; one `bincount`
-    counts them, and one gather remaps them to vocabulary ids (-1 for a
-    dropped type).
+    Tokens get provisional ids in order of first occurrence, in one C-level
+    pass: a type's first lookup stores the number of types seen before it.
+    One `bincount` counts them, and one gather remaps them to vocabulary ids
+    (-1 for a dropped type).
     """
-    types: dict[str, int] = {}
-    lengths = np.fromiter((len(s) for s in sentences), dtype=np.int64, count=len(sentences))
+    types: defaultdict[str, int] = defaultdict()
+    types.default_factory = types.__len__
+    lengths = np.fromiter(map(len, sentences), dtype=np.int64, count=len(sentences))
     provisional = np.fromiter(
-        (types.setdefault(token, len(types)) for sentence in sentences for token in sentence),
+        map(types.__getitem__, chain.from_iterable(sentences)),
         dtype=np.int32,
         count=int(lengths.sum()),
     )
@@ -229,26 +234,15 @@ def _epoch_pairs(
     return np.concatenate(centers)[order], np.concatenate(contexts)[order]
 
 
-def _scatter_add(
-    table: np.ndarray, rows: np.ndarray, values: np.ndarray, index: np.ndarray | None = None
-) -> None:
-    """``np.add.at(table, rows, values)`` for a C-contiguous 2-D table, bitwise equal.
+def _scatter_add(table: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+    """``np.add.at(table, rows, values)`` for a 2-D table, bitwise equal.
 
-    `index` is an intp buffer of shape (block rows, dim) that holds one block's
-    flat indices at a time; one of `_SCATTER_BLOCK_ROWS` rows is made when
-    none is given.
+    One 1-D ``ufunc.at`` per column, numpy's fast path: each element still
+    receives the same float32 additions in the same order, chunk rows in order.
     """
-    dim = table.shape[1]
-    if index is None:
-        index = np.empty((_SCATTER_BLOCK_ROWS, dim), dtype=np.intp)
-    flat = table.reshape(-1)
-    columns = np.arange(dim)
-    step = index.shape[0]
-    for start in range(0, rows.shape[0], step):
-        block = rows[start : start + step]
-        block_index = np.multiply(block[:, None], dim, out=index[: block.shape[0]], dtype=np.intp)
-        block_index += columns
-        np.add.at(flat, block_index.reshape(-1), values[start : start + step].reshape(-1))
+    rows = rows.astype(np.intp, copy=False)
+    for column in range(table.shape[1]):
+        np.add.at(table[:, column], rows, values[:, column])
 
 
 class _ChunkStep:
@@ -260,7 +254,16 @@ class _ChunkStep:
     ``grad = (labels - sig) * valid * lr`` and ``grad_h = grad . out``,
     followed by row scatters of ``grad_h`` into `w_in` and of
     ``grad * h`` into `w_out`. The out-table's gradient product is made
-    one scatter block of pairs at a time.
+    and scattered one column at a time.
+
+    A negative is ``searchsorted(noise_cdf, u)`` for a uniform draw u in
+    [0, 1), read from a table over `_DRAW_BINS` equal bins: u lies in bin
+    ``floor(u * _DRAW_BINS)``, between the bin's edges, so its negative lies
+    between the edges' negatives. Where those agree, the table holds that id.
+    The other bins, fewer than the vocabulary's size, hold -1, and their
+    draws fall back to `searchsorted`. The bin count is a power of two, so the
+    product and its floor are exact, and every negative equals
+    `searchsorted`'s.
     """
 
     def __init__(self, w_in: np.ndarray, w_out: np.ndarray, noise_cdf: np.ndarray, params: SgnsParams):
@@ -268,7 +271,11 @@ class _ChunkStep:
         self.w_in = w_in
         self.w_out = w_out
         self.noise_cdf = noise_cdf
+        edges = np.searchsorted(noise_cdf, np.arange(_DRAW_BINS + 1) / _DRAW_BINS).astype(np.int32)
+        self.bins = np.where(edges[:-1] == edges[1:], edges[:-1], np.int32(-1))
         self.draws = np.empty((size, params.negatives))
+        self.bin_ids = np.empty((size, params.negatives), dtype=np.intp)
+        self.drawn = np.empty((size, params.negatives), dtype=np.int32)
         self.targets = np.empty((size, width), dtype=np.intp)
         self.labels = np.zeros((size, width), dtype=np.float32)
         self.labels[:, 0] = 1.0
@@ -278,16 +285,23 @@ class _ChunkStep:
         self.out = np.empty((size, width, dim), dtype=np.float32)
         self.grad = np.empty((size, width), dtype=np.float32)
         self.grad_h = np.empty((size, dim), dtype=np.float32)
-        self.block = max(1, _SCATTER_BLOCK_ROWS // width)
-        self.product = np.empty((self.block, width, dim), dtype=np.float32)
-        self.index = np.empty((_SCATTER_BLOCK_ROWS, dim), dtype=np.intp)
+        self.column = np.empty((size, width), dtype=np.float32)
+
+    def negatives(self, draws: np.ndarray) -> np.ndarray:
+        """``searchsorted(noise_cdf, draws)`` for up to a chunk's rows of draws, as int32."""
+        n = draws.shape[0]
+        bin_ids = np.multiply(draws, _DRAW_BINS, out=self.bin_ids[:n], casting="unsafe")
+        negatives = np.take(self.bins, bin_ids, out=self.drawn[:n], mode="clip")
+        unsure = negatives < 0
+        if unsure.any():
+            negatives[unsure] = np.searchsorted(self.noise_cdf, draws[unsure])
+        return negatives
 
     def __call__(self, centers: np.ndarray, contexts: np.ndarray, lr: float, rng: np.random.Generator) -> None:
         n = centers.shape[0]
-        draws = rng.random(out=self.draws[:n])
         targets = self.targets[:n]
         targets[:, 0] = contexts
-        targets[:, 1:] = np.searchsorted(self.noise_cdf, draws)
+        targets[:, 1:] = self.negatives(rng.random(out=self.draws[:n]))
         valid = self.valid[:n]
         np.not_equal(targets[:, 1:], targets[:, :1], out=valid[:, 1:])
 
@@ -306,14 +320,12 @@ class _ChunkStep:
         grad *= valid
         grad *= np.float32(lr)
         grad_h = np.einsum("nk,nkd->nd", grad, out, out=self.grad_h[:n])
-        _scatter_add(self.w_in, centers, grad_h, self.index)
-        dim = self.w_out.shape[1]
-        for start in range(0, n, self.block):
-            stop = min(start + self.block, n)
-            product = np.multiply(
-                grad[start:stop, :, None], h[start:stop, None, :], out=self.product[: stop - start]
-            )
-            _scatter_add(self.w_out, targets[start:stop].reshape(-1), product.reshape(-1, dim), self.index)
+        _scatter_add(self.w_in, centers, grad_h)
+        rows = targets.reshape(-1)
+        column = self.column[:n]
+        for j in range(self.w_out.shape[1]):
+            np.multiply(grad, h[:, j : j + 1], out=column)
+            np.add.at(self.w_out[:, j], rows, column.reshape(-1))
 
 
 def train_sgns(

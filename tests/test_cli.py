@@ -403,6 +403,41 @@ def test_corpus_line_not_utf8_is_skipped(synth_dir, tmp_path):
     assert skips[0]["reason"] == "invalid UTF-8" and skips[1]["reason"].startswith("invalid JSON")
 
 
+@pytest.mark.parametrize(
+    "line, reason",
+    [
+        ("[" * 100_000, "invalid JSON: nesting too deep"),
+        ('{"id": ' + "7" * 5000 + "}", "invalid JSON: integer too long"),
+    ],
+    ids=["deep-nesting", "long-integer"],
+)
+def test_json_the_decoder_cannot_hold_is_skipped(two_year_dir, tmp_path, line, reason):
+    """A line too deep or with an integer too long for Python's JSON decoder
+    is a skipped record, not a crash."""
+    directory = tmp_path / "archive"
+    shutil.copytree(two_year_dir / "corpus", directory / "corpus")
+    shutil.copy(two_year_dir / "config.json", directory / "config.json")
+    path = directory / "corpus" / "daily-alpha.jsonl"
+    lines = len(path.read_bytes().splitlines())
+    with path.open("a", encoding="utf-8") as handle:
+        handle.write(line + "\n")
+    for command in ("metrics", "report"):
+        out = directory / f"out-{command}"
+        assert main([command, "--config", str(directory / "config.json"), "--out", str(out)]) == 0
+        skips = [json.loads(row) for row in (out / "metrics" / "skips" / "daily-alpha.jsonl").open()]
+        assert skips == [{"line": lines + 1, "reason": reason}]
+
+
+@pytest.mark.parametrize("command", ["metrics", "report"])
+def test_out_naming_a_file_is_a_config_error(synth_dir, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    out.write_text("not a directory\n", encoding="utf-8")
+    assert main([command, "--config", str(synth_dir / "config.json"), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot make output directory {out / command}: ")
+    assert out.read_text(encoding="utf-8") == "not a directory\n"
+
+
 def test_report_fails_on_a_bad_weat_setup_before_anything_runs(two_year_dir, tmp_path, capsys):
     lexicons = tmp_path / "lexicons.json"
     lexicons.write_text(json.dumps({"bjp": ["Bharatiya Janata Party"], "congress": ["Congress"]}), encoding="utf-8")

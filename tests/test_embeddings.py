@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from newsbalance import embeddings
 from newsbalance.embeddings import (
-    _SCATTER_BLOCK_ROWS,
+    _DRAW_BINS,
     AssociationSets,
     EmbeddingSpace,
     SgnsParams,
@@ -112,20 +112,29 @@ class TestScatterAdd:
         [
             0,
             100,
-            _SCATTER_BLOCK_ROWS,
-            3 * _SCATTER_BLOCK_ROWS,
-            2 * _SCATTER_BLOCK_ROWS + 123,
+            4096,
+            3 * 4096,
+            2 * 4096 + 123,
         ],
     )
     def test_equals_row_scatter(self, count):
+        self.assert_same_bits(*self.random_case(count, table_rows=7, dim=5))
+
+    @pytest.mark.parametrize("count", [1, 100, 4097])
+    @pytest.mark.parametrize("table_rows, dim", [(7, 1), (1, 5), (1, 1)])
+    def test_one_column_and_one_row_tables(self, count, table_rows, dim):
+        self.assert_same_bits(*self.random_case(count, table_rows, dim))
+
+    @staticmethod
+    def random_case(count, table_rows, dim):
         # Few rows and values spread over eight orders of magnitude, so every
         # row is hit many times and the float32 sums depend on their order.
         rng = np.random.default_rng(count)
-        table = rng.standard_normal((7, 5)).astype(np.float32)
-        rows = rng.integers(0, 7, size=count)
+        table = rng.standard_normal((table_rows, dim)).astype(np.float32)
+        rows = rng.integers(0, table_rows, size=count)
         scale = 10.0 ** rng.uniform(-4, 4, size=(count, 1))
-        values = (rng.standard_normal((count, 5)) * scale).astype(np.float32)
-        self.assert_same_bits(table, rows, values)
+        values = (rng.standard_normal((count, dim)) * scale).astype(np.float32)
+        return table, rows, values
 
     def test_repeated_rows(self):
         table = np.zeros((3, 4), dtype=np.float32)
@@ -134,6 +143,67 @@ class TestScatterAdd:
             [[1e8, 1.0, -1e8, 0.5]] * 3 + [[1.0, 1e-8, 3.0, -0.5]] * 3, dtype=np.float32
         )
         self.assert_same_bits(table, rows, values)
+
+
+def noise_cdf(freqs):
+    """The noise distribution's cdf, as `train_sgns` builds it."""
+    noise = np.asarray(freqs, dtype=np.float64) ** 0.75
+    cdf = np.cumsum(noise / noise.sum())
+    cdf[-1] = 1.0
+    return cdf
+
+
+def adversarial_draws(cdf):
+    """Every cdf value and its neighbours, every bin edge and the double below
+    it, 0.0 and the largest double below 1.0; those in [0, 1), a uniform
+    draw's range."""
+    edges = np.arange(_DRAW_BINS + 1) / _DRAW_BINS
+    u = np.concatenate([
+        cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0),
+        edges, np.nextafter(edges, 0.0),
+        [0.0, np.nextafter(1.0, 0.0)],
+    ])
+    return u[(u >= 0.0) & (u < 1.0)]
+
+
+TOP_ROUNDS_TO_ONE = [100.0, 50.0, 20.0, 1e-20, 1e-20]
+
+
+class TestNegativeDraw:
+    """The bin-table draw against `np.searchsorted(noise_cdf, u)`, element by element."""
+
+    @staticmethod
+    def table_draw(cdf, u):
+        params = small_params(dim=1, negatives=1, chunk_pairs=u.size)
+        table = np.zeros((cdf.size, 1), dtype=np.float32)
+        step = embeddings._ChunkStep(table, table.copy(), cdf, params)
+        return step, step.negatives(u.reshape(-1, 1))[:, 0]
+
+    @pytest.mark.parametrize(
+        "freqs",
+        [
+            [5.0],
+            # Zipf over 202 types, the vocabulary size of a synth outlet-year.
+            np.floor(60000.0 / np.arange(1, 203)),
+            # A tail so light that the cdf's top three entries round to 1.0
+            # before the last one is set to it: searchsorted picks the first.
+            TOP_ROUNDS_TO_ONE,
+        ],
+        ids=["V=1", "zipf-V=202", "top-rounds-to-1"],
+    )
+    def test_equals_searchsorted(self, freqs):
+        cdf = noise_cdf(freqs)
+        u = adversarial_draws(cdf)
+        step, drawn = self.table_draw(cdf, u)
+        np.testing.assert_array_equal(drawn, np.searchsorted(cdf, u))
+        unsure = step.bins < 0
+        assert unsure.sum() < cdf.size
+        if cdf.size > 1:  # so the fallback ran, on the draws of those bins
+            assert np.isin(np.floor(u * _DRAW_BINS).astype(np.intp), np.flatnonzero(unsure)).any()
+
+    def test_top_entries_round_to_one(self):
+        noise = np.asarray(TOP_ROUNDS_TO_ONE) ** 0.75
+        assert (np.cumsum(noise / noise.sum()) == 1.0).sum() == 3
 
 
 def zipf_corpus(seed, sentences=300, types=60, longest=12):
@@ -180,7 +250,7 @@ class TestTrainSgnsOracle:
             dict(window=4, epochs=3, negatives=5, subsample=1e-3, min_count=2),
             dict(window=5, epochs=1, negatives=2, chunk_pairs=4096),
             dict(window=6, epochs=2, negatives=4, subsample=1e-3),
-            # below one scatter block (4096 // 6 pairs), and not a multiple of it
+            # chunks smaller than the default, of sizes that are no power of two
             dict(window=5, epochs=2, negatives=5, chunk_pairs=300),
             dict(window=5, epochs=2, negatives=5, chunk_pairs=1000),
             dict(window=2, epochs=2, negatives=0, chunk_pairs=5000),
